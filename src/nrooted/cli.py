@@ -27,6 +27,7 @@ from .relations import (
     b_table,
     mn_in_m1,
     r_series,
+    report_from_difference,
     verify_ode_m0,
     verify_ode_m1,
     verify_ode_z0,
@@ -200,20 +201,6 @@ def _cmd_count(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _equal_series_report(identity: str, lhs: Series, rhs: Series) -> VerificationReport:
-    order = min(lhs.order, rhs.order)
-    for p in range(order + 1):
-        if lhs.coefficient(p) != rhs.coefficient(p):
-            return VerificationReport(
-                identity=identity,
-                order_checked=order,
-                passed=False,
-                first_failure_power=p,
-                detail=f"{lhs.coefficient(p)} != {rhs.coefficient(p)}",
-            )
-    return VerificationReport(identity, order, True, None)
-
-
 def _value_report(identity: str, order: int, got, expected) -> VerificationReport:
     if got == expected:
         return VerificationReport(identity, order, True, None)
@@ -281,7 +268,7 @@ def _m1_identity_report(n: int, order: int) -> VerificationReport:
             rhs = rhs + Series.monomial(coeff, lam, order) * m1_power
         m1_power = m1_power * m1
     lhs = Series.monomial(factorial(n), 2 * n - 2, order) * m_series(n, order)
-    return _equal_series_report(f"m{n}-in-m1", lhs, rhs)
+    return report_from_difference(f"m{n}-in-m1", lhs, rhs)
 
 
 def _suite_theorem3(order: int) -> list[VerificationReport]:
@@ -429,7 +416,10 @@ def _cmd_verify(args) -> int:
     for name in selected:
         reports.extend(suites[name]())
     print(json.dumps([r.to_json_dict() for r in reports], indent=2))
-    return 0 if all(r.passed for r in reports) else 1
+    failed = [r for r in reports if not r.passed]
+    for r in failed:
+        print(f"FAIL {r.identity}: {r.detail}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""Small exact-combinatorics helpers: double factorials, compositions, partitions.
+"""Small exact-combinatorics helpers: double factorials and compositions.
 
-Everything here is exact integer arithmetic.  The generators are iterative
-(no recursion) and yield in a fixed lexicographic order, so enumeration order
+Everything here is exact integer arithmetic.  The generator is iterative
+(no recursion) and yields in a fixed lexicographic order, so enumeration order
 is reproducible across runs.
 """
 
@@ -11,7 +11,7 @@ from functools import cache
 from itertools import combinations
 from math import factorial
 
-__all__ = ["double_factorial", "compositions", "partitions", "factorial"]
+__all__ = ["double_factorial", "compositions", "factorial"]
 
 
 @cache
@@ -52,33 +52,3 @@ def compositions(total: int, parts: int):
             prev = c
         out.append(total - prev)
         yield tuple(out)
-
-
-def partitions(n: int):
-    """Yield the partitions of n as weakly-decreasing tuples, largest part first.
-
-    Iterative (explicit stack-free descent), ordered lexicographically
-    descending: partitions(4) -> (4,), (3,1), (2,2), (2,1,1), (1,1,1,1).
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        yield ()
-        return
-    part = [n]
-    while True:
-        yield tuple(part)
-        # Find rightmost entry > 1 to decrement; everything after it restarts.
-        i = len(part) - 1
-        while i >= 0 and part[i] == 1:
-            i -= 1
-        if i < 0:
-            return
-        remainder = len(part) - i - 1 + 1  # the ones we strip, plus the 1 we take
-        new_val = part[i] - 1
-        part = part[:i] + [new_val]
-        # Redistribute `remainder` into parts of size <= new_val.
-        while remainder > 0:
-            take = min(new_val, remainder)
-            part.append(take)
-            remainder -= take

@@ -18,7 +18,6 @@ __all__ = [
     "inverse",
     "cycles_of",
     "from_cycles",
-    "conjugate",
     "is_involution_without_fixed_points",
     "fixed_point_free_involutions",
     "UnionFind",
@@ -76,14 +75,6 @@ def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Perm:
         for i, x in enumerate(cycle):
             images[x - 1] = cycle[(i + 1) % len(cycle)]
     return tuple(images)
-
-
-def conjugate(p: Perm, r: Perm) -> Perm:
-    """r o p o r^{-1}: the relabelling of p under x -> r(x)."""
-    out = [0] * len(p)
-    for i in range(1, len(p) + 1):
-        out[r[i - 1] - 1] = r[p[i - 1] - 1]
-    return tuple(out)
 
 
 def is_involution_without_fixed_points(p: Perm) -> bool:

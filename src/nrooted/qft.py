@@ -7,7 +7,12 @@ field pair per electron line and a quartic-free photon coupling; expanding its
     Z_N(λ) = Σ_k (2k+N)! (2k-1)!! / (2k)! · λ^{2k},
 
 whose connected part M_N(λ) = Σ_e m_N(e) λ^{2e} counts N-rooted maps with e
-edges.  Everything here is exact rational arithmetic on :class:`Series`.
+edges.  It is taken as a logarithm,
+
+    M_N = N! · [t^N] log Σ_{j≥0} (Z_j/Z_0) t^j / (j!)²
+
+(see :func:`m_series`).  Everything here is exact rational arithmetic on
+:class:`Series`.
 
 Normalization note: ``m0_series`` is the logarithm of the *normalized* vacuum
 series (constant term 1), i.e. M0(0) = 0; the additive constant of the
@@ -24,23 +29,38 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .combinat import compositions, double_factorial, partitions
-from .errors import ConsistencyError
-from .series import Series
+from .combinat import compositions, double_factorial
+from .errors import BoundExceededError, ConsistencyError
+from .series import Series, first_difference, log_coefficients
 
 __all__ = [
     "z_series",
     "z_np_series",
     "z_recursion",
     "m0_series",
-    "m0_series_via_compositions",
-    "enum_alpha_vectors",
     "m_series",
     "m_count",
     "m1_closed_form",
+    "MAX_CLOSED_FORM_EDGES",
     "m2_via_routes",
     "m3_via_routes",
 ]
+
+#: Largest edge count :func:`m1_closed_form` accepts.  Its sums run over all
+#: 2^e compositions of e+1, so the time doubles with every edge.
+MAX_CLOSED_FORM_EDGES = 20
+
+
+def _require_equal(context: str, a: Series, b: Series) -> None:
+    """Raise :class:`ConsistencyError` naming the first differing λ-power."""
+    if a == b:
+        return
+    diff = first_difference(a, b)
+    if diff is None:
+        where = f"orders {a.order} and {b.order}"
+    else:
+        where = f"at λ^{diff[0]}: {diff[1]} != {diff[2]}"
+    raise ConsistencyError(f"{context} {where}")
 
 
 @cache
@@ -106,10 +126,11 @@ def z_recursion(n: int, order: int) -> Series:
         derivative_route = derivative_route.derivative()
     derivative_route = derivative_route.truncate(order)
 
-    if ladder != derivative_route:
-        raise ConsistencyError(
-            f"z_recursion({n}): ladder and derivative routes disagree"
-        )
+    _require_equal(
+        f"z_recursion({n}): ladder and derivative routes disagree",
+        ladder,
+        derivative_route,
+    )
     return ladder
 
 
@@ -133,66 +154,27 @@ def _m0_coefficient(e: int) -> Fraction:
     return total
 
 
-def m0_series_via_compositions(order: int) -> Series:
-    """M0 assembled coefficientwise from the explicit composition sum.
-
-    An independent route to :func:`m0_series` (no series log involved); the
-    two are compared in the test suite.
-    """
-    coeffs = [Fraction(0)] * (order + 1)
-    for e in range(1, order // 2 + 1):
-        coeffs[2 * e] = _m0_coefficient(e)
-    return Series(coeffs)
-
-
-def enum_alpha_vectors(n: int) -> list[tuple[int, ...]]:
-    """All multiplicity vectors (a_1..a_N) with Σ j*a_j = N.
-
-    a_j is the multiplicity of part j in a partition of N; vectors are listed
-    from the all-ones partition (N, 0, ..) up to the single part (.., 0, 1).
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    vectors = []
-    for part in partitions(n):
-        alpha = [0] * n
-        for p in part:
-            alpha[p - 1] += 1
-        vectors.append(tuple(alpha))
-    vectors.reverse()
-    return vectors
-
-
 @cache
 def m_series(n: int, order: int) -> Series:
     """Generating function of N-rooted map counts by edge count.
 
-    Connected-part extraction: an inclusion–exclusion over partitions of N
-    combining the correlator family Z_1..Z_N against powers of 1/Z_0.  The
+    Connected-part extraction in its logarithm (moment–cumulant) form: with
+    q_j = Z_j/Z_0,
+
+        M_N = N! · [t^N] log(1 + Σ_{j≥1} q_j t^j / (j!)²),
+
+    the closed form of the paper's Theorem-2 inclusion–exclusion.  The
     result must have non-negative integer coefficients (they are counts); any
     other outcome raises :class:`ConsistencyError`.
     """
     if n < 1:
         raise ValueError("n must be at least 1 (counts are for rooted objects)")
     z0_inv = z_series(0, order).invert()
-    scaled = {
-        j: z_series(j, order) * Fraction(1, factorial(j) ** 2)
+    scaled = [
+        z_series(j, order) * z0_inv * Fraction(1, factorial(j) ** 2)
         for j in range(1, n + 1)
-    }
-    total = Series.zero(order)
-    for alpha in enum_alpha_vectors(n):
-        s = sum(alpha)
-        coeff = Fraction(factorial(n))
-        for a in alpha:
-            coeff /= factorial(a)
-        coeff *= Fraction((-1) ** (s - 1) * factorial(s - 1))
-        term = Series.one(order) * coeff
-        for _ in range(s):
-            term = term * z0_inv
-        for j, a in enumerate(alpha, start=1):
-            for _ in range(a):
-                term = term * scaled[j]
-        total = total + term
+    ]
+    total = log_coefficients(scaled)[-1] * factorial(n)
     for p, c in enumerate(total.coefficients):
         if c.denominator != 1 or c < 0:
             raise ConsistencyError(
@@ -215,10 +197,17 @@ def m1_closed_form(edges: int) -> int:
     Variant A sums products of odd double factorials over compositions of e+1;
     variant B sums products of (2k)!/k! and divides by 2^{e+1}.  Both must
     agree (and B must divide exactly) or :class:`ConsistencyError` is raised.
+    Beyond :data:`MAX_CLOSED_FORM_EDGES` edges it raises
+    :class:`BoundExceededError` instead of starting the exponential sums.
     """
     e = edges
     if e < 0:
         raise ValueError("edge count must be non-negative")
+    if e > MAX_CLOSED_FORM_EDGES:
+        raise BoundExceededError(
+            f"the closed form sums 2^e compositions; {e} edges exceed "
+            f"its bound of {MAX_CLOSED_FORM_EDGES}"
+        )
 
     variant_a = 0
     for k in range(e + 1):
@@ -288,8 +277,8 @@ def m2_via_routes(order: int) -> Series:
         coeffs[2 * e] = first - Fraction(conv, 2)
     route_c = Series(coeffs)
 
-    if not (route_a == route_b == route_c):
-        raise ConsistencyError("m2_via_routes: routes disagree")
+    _require_equal("m2_via_routes: routes A and B disagree", route_a, route_b)
+    _require_equal("m2_via_routes: routes A and C disagree", route_a, route_c)
     return route_a
 
 
@@ -320,6 +309,5 @@ def m3_via_routes(order: int) -> Series:
         + (d3.shifted(3) * Fraction(1, 6)).truncate(order)
     )
 
-    if route_a != route_b:
-        raise ConsistencyError("m3_via_routes: routes disagree")
+    _require_equal("m3_via_routes: routes A and B disagree", route_a, route_b)
     return route_a

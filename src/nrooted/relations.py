@@ -27,7 +27,7 @@ from math import comb, factorial
 from .combinat import double_factorial
 from .errors import ConsistencyError
 from .qft import m_series, z_series
-from .series import Rational, Series
+from .series import Rational, Series, first_difference, log_coefficients
 
 __all__ = [
     "BTable",
@@ -395,29 +395,18 @@ def zj_over_z0_in_m1(j: int, order: int) -> M1Polynomial:
 def mn_in_m1(n: int, order: int) -> M1Polynomial:
     """M_N as a polynomial of degree exactly N in M₁.
 
-    Substitutes the degree-1 quotient polynomials into the partition
-    inclusion–exclusion for the connected part; validated by degree check and
+    Takes the same logarithm as :func:`~nrooted.qft.m_series`,
+    M_N = N! · [t^N] log(1 + Σ_j (Z_j/Z_0) t^j/(j!)²), over the degree-1
+    quotient polynomials instead of series; validated by degree check and
     by substituting the M₁ series against m_series(N).
     """
-    from .qft import enum_alpha_vectors  # local import keeps module load light
-
     if n < 1:
         raise ValueError("n must be at least 1")
-    quotients = {j: zj_over_z0_in_m1(j, order) for j in range(1, n + 1)}
-    total = M1Polynomial([LaurentPoly()])
-    for alpha in enum_alpha_vectors(n):
-        s = sum(alpha)
-        scalar = Fraction(factorial(n))
-        for a in alpha:
-            scalar /= factorial(a)
-        scalar *= Fraction((-1) ** (s - 1) * factorial(s - 1))
-        for jj, a in enumerate(alpha, start=1):
-            scalar /= Fraction(factorial(jj) ** 2) ** a
-        term = M1Polynomial([LaurentPoly.constant(scalar)])
-        for jj, a in enumerate(alpha, start=1):
-            for _ in range(a):
-                term = term * quotients[jj]
-        total = total + term
+    scaled = [
+        zj_over_z0_in_m1(j, order) * Fraction(1, factorial(j) ** 2)
+        for j in range(1, n + 1)
+    ]
+    total = log_coefficients(scaled)[-1] * factorial(n)
 
     if total.degree != n:
         raise ConsistencyError(
@@ -456,24 +445,24 @@ class VerificationReport:
         }
 
 
+def report_from_difference(identity: str, lhs: Series, rhs: Series) -> VerificationReport:
+    """Pass iff lhs and rhs agree to their common order.
+
+    A failure names the first differing λ-power and both values there.
+    """
+    order = min(lhs.order, rhs.order)
+    diff = first_difference(lhs, rhs)
+    if diff is None:
+        return VerificationReport(identity, order, True, None)
+    p, left, right = diff
+    return VerificationReport(
+        identity, order, False, p, detail=f"at λ^{p}: {left} != {right}"
+    )
+
+
 def report_from_residual(identity: str, residual: Series) -> VerificationReport:
     """Summarize a residual series: pass iff every known coefficient is zero."""
-    for p in range(residual.order + 1):
-        c = residual.coefficient(p)
-        if c != 0:
-            return VerificationReport(
-                identity=identity,
-                order_checked=residual.order,
-                passed=False,
-                first_failure_power=p,
-                detail=f"residual coefficient {c} at λ^{p}",
-            )
-    return VerificationReport(
-        identity=identity,
-        order_checked=residual.order,
-        passed=True,
-        first_failure_power=None,
-    )
+    return report_from_difference(identity, residual, Series.zero(residual.order))
 
 
 def verify_ode_m1(order: int, m1: Series | None = None) -> VerificationReport:
@@ -488,8 +477,8 @@ def verify_ode_m1(order: int, m1: Series | None = None) -> VerificationReport:
         m1 = m_series(1, order)
     lam2 = Series.monomial(1, 2, order)
     lam3 = Series.monomial(1, 3, order)
-    residual = m1 - 1 - lam2 * m1 - lam2 * (m1 * m1) - lam3 * m1.derivative()
-    return report_from_residual("m1-ode", residual)
+    rhs = 1 + lam2 * m1 + lam2 * (m1 * m1) + lam3 * m1.derivative()
+    return report_from_difference("m1-ode", m1, rhs)
 
 
 def verify_ode_m0(order: int, m0: Series | None = None) -> VerificationReport:
@@ -505,8 +494,8 @@ def verify_ode_m0(order: int, m0: Series | None = None) -> VerificationReport:
     lam1 = Series.monomial(2, 1, order)
     lam2 = Series.monomial(4, 2, order)
     lam3 = Series.monomial(1, 3, order)
-    residual = d1 - lam1 - lam2 * d1 - lam3 * d2 - lam3 * (d1 * d1)
-    return report_from_residual("m0-ode", residual)
+    rhs = lam1 + lam2 * d1 + lam3 * d2 + lam3 * (d1 * d1)
+    return report_from_difference("m0-ode", d1, rhs)
 
 
 def verify_ode_z0(order: int, z0: Series | None = None) -> VerificationReport:
@@ -517,10 +506,9 @@ def verify_ode_z0(order: int, z0: Series | None = None) -> VerificationReport:
         z0 = z_series(0, order)
     d1 = z0.derivative()
     d2 = d1.derivative()
-    residual = (
-        d1
-        - Series.monomial(1, 3, order) * d2
-        - Series.monomial(4, 2, order) * d1
-        - Series.monomial(2, 1, order) * z0
+    rhs = (
+        Series.monomial(1, 3, order) * d2
+        + Series.monomial(4, 2, order) * d1
+        + Series.monomial(2, 1, order) * z0
     )
-    return report_from_residual("z0-ode", residual)
+    return report_from_difference("z0-ode", d1, rhs)

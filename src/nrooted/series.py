@@ -24,11 +24,41 @@ in lowest terms with an explicit denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, TypeVar, Union
 
 Rational = Union[int, Fraction]
+T = TypeVar("T")
 
-__all__ = ["Series", "Rational"]
+__all__ = ["Series", "Rational", "log_coefficients", "first_difference"]
+
+
+def log_coefficients(u: Sequence[T]) -> list[T]:
+    """L_1..L_n with log(1 + Σ_j u_j t^j) = Σ_j L_j t^j + O(t^{n+1}).
+
+    Solved from log(a)' = a'/a, i.e. j·L_j = j·u_j − Σ_{i<j} i·L_i·u_{j−i}.
+    The u_j may come from any commutative ring that admits ``+``, ``*`` and
+    multiplication by ``int`` and ``Fraction`` scalars — rationals, series,
+    polynomials — so the one recurrence serves every logarithm in the package.
+    """
+    logs: list[T] = []
+    for j, u_j in enumerate(u, start=1):
+        acc = u_j * j
+        for i in range(1, j):
+            acc = acc + logs[i - 1] * u[j - i - 1] * (-i)
+        logs.append(acc * Fraction(1, j))
+    return logs
+
+
+def first_difference(a: Series, b: Series) -> tuple[int, Fraction, Fraction] | None:
+    """The first power at which a and b differ, with both coefficients.
+
+    Only the powers known to both (up to the smaller order) are compared;
+    ``None`` means they agree on all of them.
+    """
+    for p, (x, y) in enumerate(zip(a.coefficients, b.coefficients)):
+        if x != y:
+            return p, x, y
+    return None
 
 
 def _as_fraction(value: Rational) -> Fraction:
@@ -235,19 +265,13 @@ class Series:
     def log(self) -> "Series":
         """Formal logarithm; requires constant term exactly 1.
 
-        Solved coefficientwise from log(a)' = a'/a, which preserves the order.
+        Solved coefficientwise by :func:`log_coefficients`, which preserves
+        the order.
         """
         a = self._coeffs
         if a[0] != 1:
             raise ValueError("log requires a series with constant term 1")
-        k = self.order
-        out = [Fraction(0)] * (k + 1)
-        for p in range(1, k + 1):
-            acc = p * a[p]
-            for i in range(1, p):
-                acc -= i * out[i] * a[p - i]
-            out[p] = acc / p
-        return Series(out)
+        return Series([0] + log_coefficients(a[1:]))
 
     def exp(self) -> "Series":
         """Formal exponential; requires constant term exactly 0."""

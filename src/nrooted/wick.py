@@ -30,6 +30,7 @@ series coefficients come out exactly.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -350,12 +351,15 @@ def count_connected_classes(n_external: int, edges: int, workers: int = 1) -> in
 
     Counts aligned connected contractions and divides by (2e)!; the quotient
     is exact because vertex relabelings act freely on them.  ``workers > 1``
-    splits the stream by photon matching across processes; the result is
-    independent of the worker count.
+    splits the stream by photon matching across processes, never more than
+    there are matchings or CPUs; the result is independent of the worker
+    count.
     """
     _check_bounds(n_external, edges)
     if n_external < 1:
         raise ValueError("count_connected_classes requires n_external >= 1")
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
     n = 2 * edges
     if edges == 0:
         return 1 if n_external == 1 else 0
@@ -363,10 +367,11 @@ def count_connected_classes(n_external: int, edges: int, workers: int = 1) -> in
     tasks = [
         (n_external, n, matching) for matching in fixed_point_free_involutions(n)
     ]
-    if workers > 1 and len(tasks) > 1:
+    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    if processes > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(processes=workers) as pool:
+        with multiprocessing.Pool(processes=processes) as pool:
             per_matching = pool.map(_count_for_matching, tasks)
         total = sum(per_matching)
     else:

@@ -145,6 +145,23 @@ class TestCountCommand:
         )
         assert code == 2
 
+    def test_closed_form_beyond_its_bound_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "count", "--n", "1", "--edges", "21", "--method", "closed-form"
+        )
+        assert code == 2
+        assert out == ""
+        assert "21 edges exceed its bound of 20" in err
+
+    def test_zero_threads_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "count", "--n", "1", "--edges", "1", "--method", "oracle-wick",
+            "--threads", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "at least 1" in err
+
     def test_structural_oracle_includes_genus_profile(self, capsys):
         code, out, _ = run(
             capsys, "count", "--n", "1", "--edges", "1", "--method", "oracle-ribbon"
@@ -247,6 +264,30 @@ class TestVerifyCommand:
         reports = json.loads(out)
         assert any(not r["pass"] for r in reports)
         assert any(r["first_failure_power"] == 4 for r in reports)
+
+    def test_failure_detail_names_power_and_values(self, capsys, monkeypatch):
+        # bump m_1(2) from 10 to 11; the ODE's right side still gives 10
+        from nrooted.qft import m_series
+        from nrooted.relations import verify_ode_m1
+        from nrooted.series import Series
+
+        monkeypatch.setattr(
+            "nrooted.cli.verify_ode_m1",
+            lambda order: verify_ode_m1(
+                order, m1=m_series(1, order) + Series.monomial(1, 4, order)
+            ),
+        )
+        code, out, err = run(capsys, "verify", "--suite", "ode")
+        assert code == 1
+        reports = json.loads(out)
+        assert reports[0] == {
+            "identity": "m1-ode",
+            "order_checked": 11,
+            "pass": False,
+            "first_failure_power": 4,
+        }
+        assert all(r["pass"] for r in reports[1:])
+        assert err == "FAIL m1-ode: at λ^4: 11 != 10\n"
 
 
 class TestConvertCommand:

@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nrooted.errors import BoundExceededError, ConsistencyError
 from nrooted.qft import (
-    enum_alpha_vectors,
+    MAX_CLOSED_FORM_EDGES,
     m0_series,
     m1_closed_form,
     m2_via_routes,
@@ -16,7 +19,8 @@ from nrooted.qft import (
     z_recursion,
     z_series,
 )
-from nrooted.series import Series
+from nrooted.relations import zj_over_z0_in_m1
+from nrooted.series import Series, log_coefficients
 
 
 def S(*coeffs):
@@ -99,24 +103,32 @@ class TestM0:
         assert m0_series(8).coefficient(0) == 0
 
 
-class TestAlphaVectors:
-    def test_single_root(self):
-        assert enum_alpha_vectors(1) == [(1,)]
+class TestLogCoefficients:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.fractions(min_value=-10, max_value=10, max_denominator=9),
+            max_size=10,
+        )
+    )
+    def test_exp_undoes_log(self, u):
+        # Series.exp runs its own recurrence, so this is a round trip
+        logs = log_coefficients(u)
+        assert Series([0] + logs).exp() == Series([1] + u)
 
-    def test_two_roots(self):
-        assert enum_alpha_vectors(2) == [(2, 0), (0, 1)]
+    def test_log_one_plus_t(self):
+        assert log_coefficients([1, 0, 0, 0]) == [
+            1, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 4),
+        ]
 
-    def test_counts_are_partition_numbers(self):
-        # number of multisets of part sizes summing to n
-        assert [len(enum_alpha_vectors(n)) for n in range(1, 6)] == [1, 2, 3, 5, 7]
+    def test_empty_input(self):
+        assert log_coefficients([]) == []
 
-    def test_weights_sum_to_n(self):
-        for vec in enum_alpha_vectors(5):
-            assert sum((j + 1) * a for j, a in enumerate(vec)) == 5
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            enum_alpha_vectors(0)
+    def test_two_roots_over_m1_polynomials(self):
+        # M_2 = Z_2/(2 Z_0) - (Z_1/Z_0)^2, from u_j = (Z_j/Z_0)/(j!)^2
+        q1, q2 = zj_over_z0_in_m1(1, 12), zj_over_z0_in_m1(2, 12)
+        logs = log_coefficients([q1, q2 * Fraction(1, 4)])
+        assert logs[-1] * 2 == q2 * Fraction(1, 2) + q1 * q1 * (-1)
 
 
 KNOWN_COUNTS = {
@@ -199,6 +211,12 @@ class TestM1ClosedForm:
         with pytest.raises(ValueError):
             m1_closed_form(-1)
 
+    def test_bound_rejects_before_summing(self):
+        # 2^21 compositions would take seconds; the guard answers at once
+        assert MAX_CLOSED_FORM_EDGES == 20
+        with pytest.raises(BoundExceededError, match="bound of 20"):
+            m1_closed_form(21)
+
 
 class TestHigherRootRoutes:
     def test_two_root_route_values(self):
@@ -212,3 +230,40 @@ class TestHigherRootRoutes:
     def test_routes_agree_with_general_formula(self):
         assert m2_via_routes(14) == m_series(2, 14)
         assert m3_via_routes(14) == m_series(3, 14)
+
+    def test_route_disagreement_names_the_power(self, monkeypatch):
+        # one wrong m_1(2) feeds route C only; m_2(3) is the first it touches
+        real = m1_closed_form
+        monkeypatch.setattr(
+            "nrooted.qft.m1_closed_form", lambda e: real(e) + (e == 2)
+        )
+        with pytest.raises(
+            ConsistencyError, match=r"routes A and C disagree at λ\^6: 165 != 163"
+        ):
+            m2_via_routes(8)
+
+    def test_three_root_disagreement_names_the_power(self, monkeypatch):
+        # +λ⁴ in M0 adds λ³/6·(24λ) = 4λ⁴ to route B
+        real = m0_series.__wrapped__
+        monkeypatch.setattr(
+            "nrooted.qft.m0_series",
+            lambda order: real(order) + Series.monomial(1, 4, order),
+        )
+        with pytest.raises(
+            ConsistencyError, match=r"routes A and B disagree at λ\^4: 6 != 10"
+        ):
+            m3_via_routes(8)
+
+
+class TestZRecursionDetail:
+    def test_disagreement_names_the_power(self, monkeypatch):
+        real = Series.x_derivative
+        monkeypatch.setattr(
+            Series,
+            "x_derivative",
+            lambda self: real(self) + Series.monomial(1, 2, self.order),
+        )
+        with pytest.raises(
+            ConsistencyError, match=r"routes disagree at λ\^2: 4 != 3"
+        ):
+            z_recursion(1, 6)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrooted.series import Series
+from nrooted.series import Series, first_difference
 
 
 def S(*coeffs):
@@ -141,6 +141,17 @@ class TestCalculus:
     def test_exp_log_round_trip(self):
         s = S(1, 2, 3, 4, 5)
         assert s.log().exp() == s
+
+
+class TestFirstDifference:
+    def test_names_first_differing_power_and_both_values(self):
+        assert first_difference(S(1, 2, 10, 74), S(1, 2, 11, 70)) == (2, 10, 11)
+
+    def test_equal_series_have_no_difference(self):
+        assert first_difference(S(1, 0, 3), S(1, 0, 3)) is None
+
+    def test_compares_only_the_common_order(self):
+        assert first_difference(S(1, 2), S(1, 2, 99)) is None
 
 
 class TestCoefficientAccess:

@@ -220,6 +220,38 @@ class TestCounting:
             count_connected_classes(0, 1)
 
     @pytest.mark.parametrize(
+        "cpus,pool_sizes",
+        [(64, [3]), (2, [2]), (None, [])],  # (1, 2) has 3 photon matchings
+    )
+    def test_worker_count_is_clamped(self, monkeypatch, cpus, pool_sizes):
+        sizes = []
+
+        class RecordingPool:
+            """Records the requested size and maps in-process; starts nothing."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr("multiprocessing.Pool", RecordingPool)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        assert count_connected_classes(1, 2, workers=10**6) == 10
+        assert sizes == pool_sizes
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_nonpositive_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="at least 1"):
+            count_connected_classes(1, 1, workers=workers)
+
+    @pytest.mark.parametrize(
         "n_external,edges,expected",
         [(1, 0, 1), (1, 1, 3), (0, 2, 3), (2, 1, 12)],
     )
