@@ -13,6 +13,7 @@ and cross-validates every formula against independent brute-force oracles:
   exhaustive enumeration;
 * :mod:`nrooted.wick`     — the pairing/contraction model whose connected
   classes are counted by the same series;
+* :mod:`nrooted.tables`   — the paper's count tables and M₁ identities;
 * :mod:`nrooted.cli`      — the ``nrooted`` command-line interface.
 """
 

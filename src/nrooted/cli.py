@@ -17,10 +17,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BoundExceededError, ConsistencyError
+from .errors import ConsistencyError
 from .qft import m0_series, m1_closed_form, m_count, m_series, z_np_series, z_series
 from .relations import (
     VerificationReport,
@@ -40,7 +40,8 @@ from .ribbon import (
     map_from_json,
     map_to_json,
 )
-from .series import Series
+from .series import Series, _require_equal
+from .tables import M1_IDENTITIES, M_TABLES
 from .wick import (
     bijection_class_multiset,
     contraction_from_json,
@@ -48,7 +49,6 @@ from .wick import (
     count_connected_classes,
     from_map,
     to_map,
-    total_weighted_classes,
 )
 
 __all__ = ["main", "entry_point", "CountReport"]
@@ -214,44 +214,12 @@ def _attempt(identity: str, order: int, thunk) -> VerificationReport:
     try:
         thunk()
     except ConsistencyError as exc:
-        return VerificationReport(identity, order, False, None, detail=str(exc))
+        return VerificationReport(identity, order, False, exc.power, detail=str(exc))
     return VerificationReport(identity, order, True, None)
 
 
 def _suite_ode(order: int) -> list[VerificationReport]:
     return [verify_ode_m1(order), verify_ode_m0(order), verify_ode_z0(order)]
-
-
-# Multiples N! λ^{2N-2} M_N written in M₁ and λ; terms are (coeff, λ-power,
-# M₁-power).  N = 1 is the degenerate member of the family (M₁ itself).
-_M1_IDENTITIES: dict[int, list[tuple[int, int, int]]] = {
-    1: [(1, 0, 1)],
-    2: [(-1, 0, 0), (1, 0, 1), (-2, 2, 2)],
-    3: [(-1, 0, 0), (1, 0, 1), (7, 2, 1), (-9, 2, 2), (12, 4, 3)],
-    4: [
-        (-1, 0, 0),
-        (-15, 2, 0),
-        (1, 0, 1),
-        (47, 2, 1),
-        (-34, 2, 2),
-        (-112, 4, 2),
-        (144, 4, 3),
-        (-144, 6, 4),
-    ],
-    5: [
-        (-1, 0, 0),
-        (-93, 2, 0),
-        (1, 0, 1),
-        (216, 2, 1),
-        (633, 4, 1),
-        (-125, 2, 2),
-        (-1875, 4, 2),
-        (1300, 4, 3),
-        (2800, 6, 3),
-        (-3600, 6, 4),
-        (2880, 8, 5),
-    ],
-}
 
 
 def _m1_identity_report(n: int, order: int) -> VerificationReport:
@@ -261,7 +229,7 @@ def _m1_identity_report(n: int, order: int) -> VerificationReport:
     rhs = Series.zero(order)
     m1_power = Series.one(order)
     by_power: dict[int, list[tuple[int, int]]] = {}
-    for coeff, lam, mpow in _M1_IDENTITIES[n]:
+    for coeff, lam, mpow in M1_IDENTITIES[n]:
         by_power.setdefault(mpow, []).append((coeff, lam))
     for mpow in range(max(by_power) + 1):
         for coeff, lam in by_power.get(mpow, []):
@@ -318,8 +286,7 @@ def _check_oop(n: int, order: int) -> None:
     rhs = Series.zero(order)
     for k in range(n + 1):
         rhs = rhs + r_series(2 * k - 1, order) * ((-1) ** (n - k) * table.value(n, k))
-    if lhs != rhs:
-        raise ConsistencyError(f"derivative-basis identity fails at n={n}")
+    _require_equal(f"derivative-basis identity (n={n}): sides differ", lhs, rhs)
 
 
 def _check_z1_shape(order: int) -> None:
@@ -331,28 +298,10 @@ def _check_z1_shape(order: int) -> None:
 
 def _suite_tables(order: int) -> list[VerificationReport]:
     reports = []
-    m1_row = [m_count(1, e) for e in range(7)]
-    reports.append(
-        _value_report("m1-table", 12, m1_row, [1, 2, 10, 74, 706, 8162, 110410])
-    )
-    m2 = m_series(2, 12)
-    reports.append(
-        _value_report(
-            "m2-table",
-            12,
-            [m2.coefficient(2 * e) for e in range(7)],
-            [0, 1, 13, 165, 2273, 34577, 581133],
-        )
-    )
-    m3 = m_series(3, 12)
-    reports.append(
-        _value_report(
-            "m3-table",
-            12,
-            [m3.coefficient(2 * e) for e in range(7)],
-            [0, 0, 6, 172, 3834, 81720, 1775198],
-        )
-    )
+    for n, row in M_TABLES.items():
+        series = m_series(n, 12)
+        got = tuple(int(series.coefficient(2 * e)) for e in range(len(row)))
+        reports.append(_value_report(f"m{n}-table", 12, got, row))
     reports.append(
         _value_report(
             "znp-1-1-coefficient", 5, z_np_series(1, 1, 5).coefficient(5), 90

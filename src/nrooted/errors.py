@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from __future__ import annotations
+
 
 class ConsistencyError(RuntimeError):
     """Two supposedly-equivalent computation routes disagreed.
@@ -9,7 +11,14 @@ class ConsistencyError(RuntimeError):
     powers that should cancel but do not, a count that should be divisible by
     (2e)! but is not.  This is always a bug indicator, never a user error, and
     is therefore never silently swallowed.
+
+    ``power`` is the first λ-power at which two compared series differ, when
+    the check compared series; otherwise it is ``None``.
     """
+
+    def __init__(self, *args, power: int | None = None):
+        super().__init__(*args)
+        self.power = power
 
 
 class BoundExceededError(ValueError):

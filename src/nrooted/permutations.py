@@ -127,15 +127,14 @@ class UnionFind:
             x = parent[x]
         return x
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: int, b: int) -> bool:
+        """Merge the classes of a and b; False if they already were one class."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return
+            return False
         if self.size[ra] < self.size[rb]:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
         self.components -= 1
-
-    def connected(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
+        return True

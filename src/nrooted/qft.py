@@ -31,7 +31,7 @@ from math import factorial
 
 from .combinat import compositions, double_factorial
 from .errors import BoundExceededError, ConsistencyError
-from .series import Series, first_difference, log_coefficients
+from .series import Series, _require_equal, log_coefficients
 
 __all__ = [
     "z_series",
@@ -49,18 +49,6 @@ __all__ = [
 #: Largest edge count :func:`m1_closed_form` accepts.  Its sums run over all
 #: 2^e compositions of e+1, so the time doubles with every edge.
 MAX_CLOSED_FORM_EDGES = 20
-
-
-def _require_equal(context: str, a: Series, b: Series) -> None:
-    """Raise :class:`ConsistencyError` naming the first differing λ-power."""
-    if a == b:
-        return
-    diff = first_difference(a, b)
-    if diff is None:
-        where = f"orders {a.order} and {b.order}"
-    else:
-        where = f"at λ^{diff[0]}: {diff[1]} != {diff[2]}"
-    raise ConsistencyError(f"{context} {where}")
 
 
 @cache

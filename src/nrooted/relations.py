@@ -27,7 +27,7 @@ from math import comb, factorial
 from .combinat import double_factorial
 from .errors import ConsistencyError
 from .qft import m_series, z_series
-from .series import Rational, Series, first_difference, log_coefficients
+from .series import Rational, Series, _require_equal, first_difference, log_coefficients
 
 __all__ = [
     "BTable",
@@ -151,8 +151,7 @@ def r_series(i: int, order: int) -> Series:
                 window[2 * m + 2] -= double_factorial(2 * m + 1)
         alt = Series(_shift_down(window, shift, f"r_series({i})"))
 
-    if direct != alt:
-        raise ConsistencyError(f"r_series({i}): direct sum and Z_0 route disagree")
+    _require_equal(f"r_series({i}): direct sum and Z_0 route differ", direct, alt)
     return direct
 
 
@@ -385,10 +384,11 @@ def zj_over_z0_in_m1(j: int, order: int) -> M1Polynomial:
     expected = z_series(j, order) * z_series(0, order).invert()
     shift = max(0, -poly.min_lambda_power())
     actual = poly.evaluate(m_series(1, order + shift), order)
-    if actual != expected:
-        raise ConsistencyError(
-            f"zj_over_z0_in_m1({j}): substitution disagrees with direct division"
-        )
+    _require_equal(
+        f"zj_over_z0_in_m1({j}): substitution and direct division differ",
+        actual,
+        expected,
+    )
     return poly
 
 
@@ -414,10 +414,11 @@ def mn_in_m1(n: int, order: int) -> M1Polynomial:
         )
     shift = max(0, -total.min_lambda_power())
     actual = total.evaluate(m_series(1, order + shift), order)
-    if actual != m_series(n, order):
-        raise ConsistencyError(
-            f"mn_in_m1({n}): substitution disagrees with the direct series"
-        )
+    _require_equal(
+        f"mn_in_m1({n}): substitution and the direct series differ",
+        actual,
+        m_series(n, order),
+    )
     return total
 
 
@@ -458,11 +459,6 @@ def report_from_difference(identity: str, lhs: Series, rhs: Series) -> Verificat
     return VerificationReport(
         identity, order, False, p, detail=f"at λ^{p}: {left} != {right}"
     )
-
-
-def report_from_residual(identity: str, residual: Series) -> VerificationReport:
-    """Summarize a residual series: pass iff every known coefficient is zero."""
-    return report_from_difference(identity, residual, Series.zero(residual.order))
 
 
 def verify_ode_m1(order: int, m1: Series | None = None) -> VerificationReport:

@@ -142,11 +142,7 @@ def validate(m: RootedMap) -> list[str]:
     if any(m.alpha[m.alpha[h - 1] - 1] != h for h in range(1, n + 1)):
         problems.append("alpha not an involution")
 
-    uf = UnionFind(n)
-    for h in range(1, n + 1):
-        uf.union(h - 1, m.alpha[h - 1] - 1)
-        uf.union(h - 1, m.sigma[h - 1] - 1)
-    if uf.components != 1:
+    if not _is_transitive(m.alpha, m.sigma, n):
         problems.append("half-edge action not transitive (graph is disconnected)")
 
     if not m.roots:
@@ -228,6 +224,11 @@ def canonical_form(m: RootedMap) -> RootedMap:
     if m.is_point:
         return m
     _require_valid(m, "canonical_form")
+    return _canonical_relabeling(m)
+
+
+def _canonical_relabeling(m: RootedMap) -> RootedMap:
+    """The relabeling step of :func:`canonical_form`, for a map known to be valid."""
     label = _bfs_labels(m)
     n = m.half_edges
     new_alpha = [0] * n

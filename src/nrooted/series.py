@@ -26,6 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, TypeVar, Union
 
+from .errors import ConsistencyError
+
 Rational = Union[int, Fraction]
 T = TypeVar("T")
 
@@ -59,6 +61,17 @@ def first_difference(a: Series, b: Series) -> tuple[int, Fraction, Fraction] | N
         if x != y:
             return p, x, y
     return None
+
+
+def _require_equal(context: str, a: Series, b: Series) -> None:
+    """Raise :class:`ConsistencyError` naming the first differing λ-power."""
+    if a == b:
+        return
+    diff = first_difference(a, b)
+    if diff is None:
+        raise ConsistencyError(f"{context} orders {a.order} and {b.order}")
+    p, x, y = diff
+    raise ConsistencyError(f"{context} at λ^{p}: {x} != {y}", power=p)
 
 
 def _as_fraction(value: Rational) -> Fraction:

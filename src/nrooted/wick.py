@@ -43,7 +43,7 @@ from .permutations import (
     fixed_point_free_involutions,
     is_involution_without_fixed_points,
 )
-from .ribbon import RootedMap, canonical_form, point_map, validate
+from .ribbon import RootedMap, _canonical_relabeling, point_map, validate
 
 __all__ = [
     "MAX_SLOTS",
@@ -150,32 +150,52 @@ def _iter_contractions(n_external: int, edges: int):
             yield Contraction(n_external, n, matching, targets)
 
 
-def _component_structure(w: Contraction) -> tuple[int, int]:
+def _components(big_n: int, n: int, photon: Perm, targets) -> tuple[int, int]:
     """(number of components, number of independent cycles) of the diagram graph.
 
-    Nodes: vertices 1..2e, then bra₁..bra_N, then ket₁..ket_N — bra and ket
-    ends are distinct leaves.  Edges: photon pairs and electron arrows.
+    Nodes: bra₁..bra_N, then vertices 1..2e, then ket₁..ket_N — bra and ket
+    ends are distinct leaves.  Out-slot s (0-based) is node s and in-slot t
+    is node N + t − 1.  Edges: photon pairs and electron arrows.  Unchecked:
+    the caller vouches for the contraction.
     """
-    n, big_n = w.n_vertices, w.n_external
     uf = UnionFind(n + 2 * big_n)
-    extra = 0
+    offset = big_n - 1
+    for a, b in enumerate(photon, start=1):
+        if a < b:  # disjoint pairs, joined first: they never close a cycle
+            uf.union(offset + a, offset + b)
+    cycles = 0
+    for s, t in enumerate(targets):
+        if not uf.union(s, offset + t):
+            cycles += 1
+    return uf.components, cycles
 
-    def join(a: int, b: int) -> None:
-        nonlocal extra
-        if uf.connected(a, b):
-            extra += 1
-        else:
-            uf.union(a, b)
 
-    for a, b in w.photon_pairs():
-        join(a - 1, b - 1)
+def _chains(big_n: int, n: int, targets) -> list[tuple[tuple[int, ...], int]]:
+    """For each bra_k in order: (vertices passed through, index of the ket reached)."""
+    chains = []
+    for k in range(big_n):
+        path = []
+        t = targets[k]
+        while t <= n:
+            path.append(t)
+            t = targets[big_n + t - 1]
+        chains.append((tuple(path), t - n))
+    return chains
+
+
+def _aligned_connected(big_n: int, n: int, photon: Perm, targets) -> bool:
+    """The one filter of both oracles: is the contraction aligned and connected?
+
+    Walks the chains first and stops at the first that ends at a wrong ket;
+    only aligned contractions reach the union-find pass.  Unchecked.
+    """
     for k in range(1, big_n + 1):
-        t = w.target_of_bra(k)
-        join(n + k - 1, t - 1 if t <= n else n + big_n + (t - n) - 1)
-    for v in range(1, n + 1):
-        t = w.target_of_vertex(v)
-        join(v - 1, t - 1 if t <= n else n + big_n + (t - n) - 1)
-    return uf.components, extra
+        t = targets[k - 1]
+        while t <= n:
+            t = targets[big_n + t - 1]
+        if t != n + k:
+            return False
+    return _components(big_n, n, photon, targets)[0] == 1
 
 
 def is_connected(w: Contraction) -> bool:
@@ -183,33 +203,26 @@ def is_connected(w: Contraction) -> bool:
     _check_contraction(w)
     if w.n_vertices == 0 and w.n_external == 0:
         return True
-    return _component_structure(w)[0] == 1
+    return _components(w.n_external, w.n_vertices, w.photon, w.targets)[0] == 1
 
 
 def external_chains(w: Contraction) -> list[tuple[tuple[int, ...], int]]:
     """For each bra_k in order: (vertices passed through, index of the ket reached)."""
     _check_contraction(w)
-    n = w.n_vertices
-    chains = []
-    for k in range(1, w.n_external + 1):
-        path = []
-        t = w.target_of_bra(k)
-        while t <= n:
-            path.append(t)
-            t = w.target_of_vertex(t)
-        chains.append((tuple(path), t - n))
-    return chains
+    return _chains(w.n_external, w.n_vertices, w.targets)
 
 
 def is_aligned(w: Contraction) -> bool:
     """True iff the chain from bra_k terminates at ket_k for every k."""
-    return all(end == k for k, (_, end) in enumerate(external_chains(w), start=1))
+    _check_contraction(w)
+    chains = _chains(w.n_external, w.n_vertices, w.targets)
+    return all(end == k for k, (_, end) in enumerate(chains, start=1))
 
 
 def loop_count(w: Contraction) -> int:
     """Independent cycles of the connected diagram; must equal e − N + 1."""
     _check_contraction(w)
-    components, cycles = _component_structure(w)
+    components, cycles = _components(w.n_external, w.n_vertices, w.photon, w.targets)
     if components != 1:
         raise ValueError("loop_count requires a connected contraction")
     expected = w.n_edges - w.n_external + 1
@@ -218,6 +231,30 @@ def loop_count(w: Contraction) -> int:
             f"diagram has {cycles} independent cycles, expected e − N + 1 = {expected}"
         )
     return cycles
+
+
+def _build_map(photon: Perm, targets, chains) -> RootedMap:
+    """The map of an aligned connected contraction, given its external chains.
+
+    Unchecked: π already is σ on every vertex except the last of each chain,
+    whose σ-image closes the chain into the root's cycle.
+    """
+    if not photon:
+        return point_map()
+    big_n = len(chains)
+    sigma = list(targets[big_n:])
+    for path, _ in chains:
+        sigma[path[-1] - 1] = path[0]
+    return RootedMap(len(photon), photon, tuple(sigma), tuple(p[0] for p, _ in chains))
+
+
+def _valid(m: RootedMap) -> RootedMap:
+    problems = validate(m)
+    if problems:
+        raise ConsistencyError(
+            f"to_map produced an invalid map ({'; '.join(problems)})"
+        )
+    return m
 
 
 def to_map(w: Contraction) -> RootedMap:
@@ -230,49 +267,19 @@ def to_map(w: Contraction) -> RootedMap:
     or has a chain ending at the wrong ket (outside the bijection's domain).
     """
     _check_contraction(w)
-    if w.n_external < 1:
+    big_n, n = w.n_external, w.n_vertices
+    if big_n < 1:
         raise ValueError("to_map requires at least one external line")
-    if not is_connected(w):
+    if _components(big_n, n, w.photon, w.targets)[0] != 1:
         raise ValueError("to_map requires a connected contraction")
-    if w.n_vertices == 0:
-        return point_map()
-
-    n = w.n_vertices
-    sigma = [0] * n
-    on_chain = [False] * (n + 1)
-    roots = []
-    for k, (path, end) in enumerate(external_chains(w), start=1):
+    chains = _chains(big_n, n, w.targets)
+    for k, (_, end) in enumerate(chains, start=1):
         if end != k:
             raise ValueError(
                 f"external chain {k} terminates at ket {end}; "
                 "only aligned contractions correspond to rooted maps"
             )
-        if not path:
-            raise ValueError(
-                f"external chain {k} passes through no vertex"
-            )  # unreachable for connected contractions with e ≥ 1
-        roots.append(path[0])
-        for i, v in enumerate(path):
-            sigma[v - 1] = path[(i + 1) % len(path)]
-            on_chain[v] = True
-
-    for v in range(1, n + 1):
-        if not on_chain[v] and sigma[v - 1] == 0:
-            cyc = [v]
-            t = w.target_of_vertex(v)
-            while t != v:
-                cyc.append(t)
-                t = w.target_of_vertex(t)
-            for i, u in enumerate(cyc):
-                sigma[u - 1] = cyc[(i + 1) % len(cyc)]
-
-    m = RootedMap(n, w.photon, tuple(sigma), tuple(roots))
-    problems = validate(m)
-    if problems:
-        raise ConsistencyError(
-            f"to_map produced an invalid map ({'; '.join(problems)})"
-        )
-    return m
+    return _valid(_build_map(w.photon, w.targets, chains))
 
 
 def from_map(m: RootedMap) -> Contraction:
@@ -316,32 +323,9 @@ def from_map(m: RootedMap) -> Contraction:
 def _count_for_matching(args: tuple[int, int, Perm]) -> int:
     """Aligned connected contractions extending one photon matching."""
     n_external, n_vertices, matching = args
-    n, big_n = n_vertices, n_external
-    in_slots = tuple(range(1, n + big_n + 1))
     count = 0
-    for targets in itertools.permutations(in_slots):
-        ok = True
-        for k in range(1, big_n + 1):
-            t = targets[k - 1]
-            while t <= n:
-                t = targets[big_n + t - 1]
-            if t - n != k:
-                ok = False
-                break
-        if not ok:
-            continue
-        uf = UnionFind(n + 2 * big_n)
-        for a in range(1, n + 1):
-            b = matching[a - 1]
-            if a < b:
-                uf.union(a - 1, b - 1)
-        for k in range(1, big_n + 1):
-            t = targets[k - 1]
-            uf.union(n + k - 1, t - 1 if t <= n else n + big_n + (t - n) - 1)
-        for v in range(1, n + 1):
-            t = targets[big_n + v - 1]
-            uf.union(v - 1, t - 1 if t <= n else n + big_n + (t - n) - 1)
-        if uf.components == 1:
+    for targets in itertools.permutations(range(1, n_vertices + n_external + 1)):
+        if _aligned_connected(n_external, n_vertices, matching, targets):
             count += 1
     return count
 
@@ -400,13 +384,22 @@ def total_weighted_classes(n_external: int, edges: int) -> Fraction:
 
 
 def bijection_class_multiset(n_external: int, edges: int) -> dict[RootedMap, int]:
-    """Canonical form → number of aligned connected contractions mapping to it."""
+    """Canonical form → number of aligned connected contractions mapping to it.
+
+    The streamed contractions are well formed by construction, so each is
+    filtered without re-checking it, and each accepted one's map is
+    validated exactly once.
+    """
     _check_bounds(n_external, edges)
+    if n_external < 1:
+        raise ValueError("bijection_class_multiset requires n_external >= 1")
+    n = 2 * edges
     fibers: dict[RootedMap, int] = {}
     for w in enumerate_contractions(n_external, edges):
-        if not is_aligned(w) or not is_connected(w):
+        if not _aligned_connected(n_external, n, w.photon, w.targets):
             continue
-        key = canonical_form(to_map(w))
+        m = _valid(_build_map(w.photon, w.targets, _chains(n_external, n, w.targets)))
+        key = _canonical_relabeling(m)
         fibers[key] = fibers.get(key, 0) + 1
     return fibers
 

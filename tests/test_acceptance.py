@@ -179,10 +179,10 @@ def test_criterion_09_table_and_polynomial_identities():
             assert lhs == rhs
 
         # the five explicit moment identities, lowest roots first
-        from nrooted.cli import _M1_IDENTITIES
+        from nrooted.tables import M1_IDENTITIES
 
         m1 = m_series(1, order)
-        for n_roots, terms in sorted(_M1_IDENTITIES.items()):
+        for n_roots, terms in sorted(M1_IDENTITIES.items()):
             nfact = 1
             for i in range(2, n_roots + 1):
                 nfact *= i

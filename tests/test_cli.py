@@ -289,6 +289,33 @@ class TestVerifyCommand:
         assert all(r["pass"] for r in reports[1:])
         assert err == "FAIL m1-ode: at λ^4: 11 != 10\n"
 
+    def test_failed_closure_names_power(self, capsys, monkeypatch):
+        # bump m_3(2) from 6 to 7 where mn_in_m1 reads it; its M₁ substitution
+        # still gives 6, so only the m3 closure fails
+        import nrooted.relations
+        from nrooted.series import Series
+
+        real = nrooted.relations.m_series
+
+        def perturbed(n, order):
+            series = real(n, order)
+            return series + Series.monomial(1, 4, order) if n == 3 else series
+
+        monkeypatch.setattr(nrooted.relations, "m_series", perturbed)
+        code, out, err = run(capsys, "verify", "--suite", "theorem3")
+        assert code == 1
+        failed = [r for r in json.loads(out) if not r["pass"]]
+        assert failed == [
+            {
+                "identity": "m3-in-m1-closure",
+                "order_checked": 12,
+                "pass": False,
+                "first_failure_power": 4,
+            }
+        ]
+        assert err.startswith("FAIL m3-in-m1-closure: ")
+        assert "at λ^4: 6 != 7" in err
+
 
 class TestConvertCommand:
     def test_map_to_contraction_file(self, capsys, tmp_path):

@@ -13,7 +13,7 @@ from nrooted.relations import (
     b_table,
     mn_in_m1,
     r_series,
-    report_from_residual,
+    report_from_difference,
     verify_ode_m0,
     verify_ode_m1,
     verify_ode_z0,
@@ -283,17 +283,17 @@ class TestHigherMomentsInFirstMoment:
 
 class TestReports:
     def test_zero_residual_passes(self):
-        rep = report_from_residual("demo", Series.zero(7))
+        rep = report_from_difference("demo", Series.zero(7), Series.zero(7))
         assert rep.passed and rep.first_failure_power is None
         assert rep.order_checked == 7
 
     def test_nonzero_residual_locates_first_failure(self):
-        rep = report_from_residual("demo", Series.monomial(1, 3, 7))
+        rep = report_from_difference("demo", Series.monomial(1, 3, 7), Series.zero(7))
         assert not rep.passed
         assert rep.first_failure_power == 3
 
     def test_json_shape_is_exact(self):
-        rep = report_from_residual("demo", Series.zero(5))
+        rep = report_from_difference("demo", Series.zero(5), Series.zero(5))
         assert rep.to_json_dict() == {
             "identity": "demo",
             "order_checked": 5,

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from nrooted.errors import BoundExceededError
+import nrooted.wick
+from nrooted.errors import BoundExceededError, ConsistencyError
 from nrooted.qft import m_count, z_series
 from nrooted.ribbon import RootedMap, canonical_form, enumerate_maps, point_map
 from nrooted.wick import (
@@ -321,6 +322,56 @@ class TestBijection:
             if is_connected(w) and is_aligned(w)
         )
         assert free == factorial(n_external) * aligned
+
+
+class TestOneFilter:
+    """Both oracles share one aligned-connected filter and validate each map once."""
+
+    @pytest.mark.parametrize("n_external,edges", [(1, 2), (2, 2), (3, 1)])
+    def test_filter_matches_public_predicates(self, n_external, edges):
+        from nrooted.wick import _aligned_connected
+
+        for w in enumerate_contractions(n_external, edges):
+            expected = is_aligned(w) and is_connected(w)
+            got = _aligned_connected(n_external, 2 * edges, w.photon, w.targets)
+            assert got == expected
+
+    @pytest.mark.parametrize("n_external,edges", [(2, 1), (1, 2)])
+    def test_stream_validates_each_accepted_map_once(
+        self, monkeypatch, n_external, edges
+    ):
+        import nrooted.ribbon
+
+        calls = {"validate": 0, "check": 0}
+        validate, check = nrooted.ribbon.validate, nrooted.wick._check_contraction
+
+        def counted_validate(m):
+            calls["validate"] += 1
+            return validate(m)
+
+        def counted_check(w):
+            calls["check"] += 1
+            return check(w)
+
+        monkeypatch.setattr(nrooted.ribbon, "validate", counted_validate)
+        monkeypatch.setattr(nrooted.wick, "validate", counted_validate)
+        monkeypatch.setattr(nrooted.wick, "_check_contraction", counted_check)
+        fibers = bijection_class_multiset(n_external, edges)
+        accepted = sum(fibers.values())
+        assert accepted == m_count(n_external, edges) * factorial(2 * edges)
+        assert calls == {"validate": accepted, "check": 0}
+
+    def test_invalid_built_map_is_a_consistency_failure(self, monkeypatch):
+        fixed_point_pairing = RootedMap(2, (1, 2), (2, 1), (1,))
+        monkeypatch.setattr(
+            nrooted.wick, "_build_map", lambda *args: fixed_point_pairing
+        )
+        with pytest.raises(ConsistencyError, match="not fixed-point-free"):
+            bijection_class_multiset(1, 1)
+
+    def test_rootless_stream_rejected(self):
+        with pytest.raises(ValueError):
+            bijection_class_multiset(0, 1)
 
 
 class TestSerialization:
