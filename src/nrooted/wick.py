@@ -214,9 +214,7 @@ def external_chains(w: Contraction) -> list[tuple[tuple[int, ...], int]]:
 
 def is_aligned(w: Contraction) -> bool:
     """True iff the chain from bra_k terminates at ket_k for every k."""
-    _check_contraction(w)
-    chains = _chains(w.n_external, w.n_vertices, w.targets)
-    return all(end == k for k, (_, end) in enumerate(chains, start=1))
+    return all(end == k for k, (_, end) in enumerate(external_chains(w), start=1))
 
 
 def loop_count(w: Contraction) -> int:
