@@ -56,6 +56,12 @@ __all__ = ["main", "entry_point", "CountReport"]
 DEFAULT_ORDER = 12
 DEFAULT_MAX_ORDER = 64
 
+#: Largest ``--n`` that ``series --family m|z|znp`` and ``count --method
+#: theorem2`` accept, and largest ``--edges`` of a theorem2 count.  The
+#: corner, 16 roots with 128 edges, takes about 0.6 s.
+MAX_ROOTS = 16
+MAX_THEOREM2_EDGES = 128
+
 #: (N, e) pairs covered by the bijection suite at desk scale.
 BIJECTION_CASES = [(1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (1, 3)]
 FIBER_CASES = [(1, 1), (1, 2), (2, 1)]
@@ -99,6 +105,11 @@ def _resolve_max_order(flag_value: int | None) -> int:
     return DEFAULT_MAX_ORDER
 
 
+def _check_bound(flag: str, value: int, bound: int) -> None:
+    if value > bound:
+        raise ValueError(f"{flag} {value} exceeds its bound of {bound}")
+
+
 def _checked_order(args) -> int:
     order = args.order
     cap = _resolve_max_order(getattr(args, "max_order", None))
@@ -119,6 +130,8 @@ def _series_for(args) -> Series:
     family = args.family
     if family == "m0":
         return m0_series(order)
+    if args.n is not None:
+        _check_bound("--n", args.n, MAX_ROOTS)
     if family == "m":
         if args.n is None or args.n < 1:
             raise ValueError("family m requires --n >= 1")
@@ -171,6 +184,8 @@ def _cmd_count(args) -> int:
     profile: dict[int, int] | None = None
 
     if args.method == "theorem2":
+        _check_bound("--n", n, MAX_ROOTS)
+        _check_bound("--edges", e, MAX_THEOREM2_EDGES)
         value = m_count(n, e)
     elif args.method == "closed-form":
         if n != 1:

@@ -469,8 +469,9 @@ def map_from_json(data: dict) -> RootedMap:
     if extra:
         raise ValueError(f"map JSON has unknown keys: {sorted(extra)}")
 
+    # ``type(v) is int`` because JSON booleans parse to bool, a subclass of int.
     n = data["half_edges"]
-    if not isinstance(n, int) or n < 0 or n % 2 != 0:
+    if type(n) is not int or n < 0 or n % 2 != 0:
         raise ValueError(f"half_edges: expected an even non-negative integer, got {n!r}")
 
     def parse_cycles(field: str) -> Perm:
@@ -478,7 +479,7 @@ def map_from_json(data: dict) -> RootedMap:
         if not isinstance(raw, list) or not all(isinstance(c, list) for c in raw):
             raise ValueError(f"{field}: expected a list of cycles (lists)")
         for cyc in raw:
-            if not all(isinstance(v, int) and 1 <= v <= n for v in cyc):
+            if not all(type(v) is int and 1 <= v <= n for v in cyc):
                 raise ValueError(f"{field}: cycle entries must be integers in 1..{n}")
         try:
             return from_cycles(n, [tuple(c) for c in raw])
@@ -499,7 +500,7 @@ def map_from_json(data: dict) -> RootedMap:
     if (
         not isinstance(raw_roots, list)
         or not raw_roots
-        or not all(isinstance(r, int) and 1 <= r <= n for r in raw_roots)
+        or not all(type(r) is int and 1 <= r <= n for r in raw_roots)
     ):
         raise ValueError(f"roots: expected a non-empty list of integers in 1..{n}")
 

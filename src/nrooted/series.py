@@ -4,6 +4,11 @@ A :class:`Series` is a dense vector of rational coefficients c[0..K] for the
 powers x^0..x^K of the formal variable, together with its truncation order K.
 All arithmetic is exact (``fractions.Fraction``); floats are rejected.
 
+The quadratic-time kernels (multiply, invert, exp; log through the first two)
+run the classical recurrences (Knuth, TAOCP vol. 2, §4.7) on plain ``int``
+numerators over one common denominator, skip zero factors, and form one
+``Fraction`` per output coefficient: one gcd per coefficient, not per product.
+
 Truncation-order rules
 ----------------------
 * Binary operations return a result truncated to the *minimum* of the two
@@ -24,6 +29,7 @@ in lowest terms with an explicit denominator.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, lcm
 from typing import Iterable, Sequence, TypeVar, Union
 
 from .errors import ConsistencyError
@@ -40,7 +46,7 @@ def log_coefficients(u: Sequence[T]) -> list[T]:
     Solved from log(a)' = a'/a, i.e. j·L_j = j·u_j − Σ_{i<j} i·L_i·u_{j−i}.
     The u_j may come from any commutative ring that admits ``+``, ``*`` and
     multiplication by ``int`` and ``Fraction`` scalars — rationals, series,
-    polynomials — so the one recurrence serves every logarithm in the package.
+    polynomials.
     """
     logs: list[T] = []
     for j, u_j in enumerate(u, start=1):
@@ -77,9 +83,30 @@ def _require_equal(context: str, a: Series, b: Series) -> None:
 def _as_fraction(value: Rational) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"exact rational required, got {type(value).__name__}")
+
+
+def _scaled(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators n_i and one denominator d with coeffs[i] = n_i / d."""
+    d = lcm(*{c.denominator for c in coeffs})
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _divided_recurrence(c: list[int], g0: int, divisor) -> list[int]:
+    """g_0 = g0 and divisor(q)·g_q = Σ_{i=1}^{q} c_i·g_{q−i}; each division is exact."""
+    k = len(c) - 1
+    terms = [(i, c_i) for i, c_i in enumerate(c) if i and c_i]
+    g = [g0] + [0] * k
+    for p in range(k + 1):
+        g_p = g[p] = g[p] // divisor(p) if p else g0
+        if g_p:  # complete now: push it into the later sums, skipping zeros
+            for i, c_i in terms:
+                if p + i > k:
+                    break
+                g[p + i] += c_i * g_p
+    return g
 
 
 class Series:
@@ -207,15 +234,17 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             k = self._binary_orders(other)
-            out = [Fraction(0)] * (k + 1)
-            for i, ci in enumerate(self._coeffs[: k + 1]):
-                if ci == 0:
-                    continue
-                for j in range(0, k + 1 - i):
-                    cj = other._coeffs[j]
-                    if cj != 0:
-                        out[i + j] += ci * cj
-            return Series(out)
+            a, da = _scaled(self._coeffs[: k + 1])
+            b, db = _scaled(other._coeffs[: k + 1])
+            nonzero_b = [(j, b_j) for j, b_j in enumerate(b) if b_j]
+            out = [0] * (k + 1)
+            for i, a_i in enumerate(a):
+                if a_i:
+                    for j, b_j in nonzero_b:
+                        if i + j > k:
+                            break
+                        out[i + j] += a_i * b_j
+            return Series([Fraction(c, da * db) for c in out])
         try:
             c = _as_fraction(other)
         except TypeError:
@@ -234,19 +263,14 @@ class Series:
 
     def invert(self) -> "Series":
         """The multiplicative inverse; requires a non-zero constant term."""
-        a = self._coeffs
-        if a[0] == 0:
+        if self._coeffs[0] == 0:
             raise ValueError("cannot invert a series with zero constant term")
-        k = self.order
-        out = [Fraction(0)] * (k + 1)
-        out[0] = 1 / a[0]
-        for p in range(1, k + 1):
-            acc = Fraction(0)
-            for i in range(1, p + 1):
-                if a[i] != 0:
-                    acc += a[i] * out[p - i]
-            out[p] = -acc / a[0]
-        return Series(out)
+        # self = a/d and 1/a = Σ g_p x^p / a0^{k+1}, where g_0 = a0^k and
+        # a0·g_p = −Σ_{i=1}^{p} a_i·g_{p−i}.
+        a, d = _scaled(self._coeffs)
+        a0, a0_k = a[0], a[0] ** self.order
+        g = _divided_recurrence([-a_i for a_i in a], a0_k, lambda p: a0)
+        return Series([Fraction(d * g_p, a0 * a0_k) for g_p in g])
 
     def __truediv__(self, other):
         if isinstance(other, Series):
@@ -278,29 +302,26 @@ class Series:
     def log(self) -> "Series":
         """Formal logarithm; requires constant term exactly 1.
 
-        Solved coefficientwise by :func:`log_coefficients`, which preserves
-        the order.
+        Computed as ∫ a′·a⁻¹ through the multiply and invert kernels, which
+        preserves the order.
         """
-        a = self._coeffs
-        if a[0] != 1:
+        if self._coeffs[0] != 1:
             raise ValueError("log requires a series with constant term 1")
-        return Series([0] + log_coefficients(a[1:]))
+        if self.order == 0:
+            return Series.zero(0)
+        quotient = (self.derivative() * self.invert()).coefficients
+        return Series([0] + [c / p for p, c in enumerate(quotient, start=1)])
 
     def exp(self) -> "Series":
         """Formal exponential; requires constant term exactly 0."""
-        a = self._coeffs
-        if a[0] != 0:
+        if self._coeffs[0] != 0:
             raise ValueError("exp requires a series with constant term 0")
-        k = self.order
-        out = [Fraction(0)] * (k + 1)
-        out[0] = Fraction(1)
-        for p in range(1, k + 1):
-            acc = Fraction(0)
-            for i in range(1, p + 1):
-                if a[i] != 0:
-                    acc += i * a[i] * out[p - i]
-            out[p] = acc / p
-        return Series(out)
+        # self = a/d and exp(self) = Σ g_q x^q / s with s = k!·d^k, where
+        # g_0 = s and q·d·g_q = Σ_{i=1}^{q} i·a_i·g_{q−i} (from exp′ = self′·exp).
+        a, d = _scaled(self._coeffs)
+        s = factorial(self.order) * d**self.order
+        g = _divided_recurrence([i * a_i for i, a_i in enumerate(a)], s, lambda q: q * d)
+        return Series([Fraction(g_q, s) for g_q in g])
 
     # -- equality / hashing / display ---------------------------------------
 
@@ -344,7 +365,7 @@ class Series:
             coeffs = data["coeffs"]
         except (TypeError, KeyError) as exc:
             raise ValueError(f"series JSON needs 'order' and 'coeffs': {exc}") from exc
-        if not isinstance(order, int) or order < 0:
+        if type(order) is not int or order < 0:  # JSON true/false are bools
             raise ValueError(f"invalid series order: {order!r}")
         if not isinstance(coeffs, list) or len(coeffs) != order + 1:
             raise ValueError(

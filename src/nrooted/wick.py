@@ -433,10 +433,11 @@ def contraction_from_json(data: dict) -> Contraction:
     if extra:
         raise ValueError(f"contraction JSON has unknown keys: {sorted(extra)}")
 
+    # ``type(v) is int`` because JSON booleans parse to bool, a subclass of int.
     big_n, n = data["n_external"], data["n_vertices"]
-    if not isinstance(big_n, int) or big_n < 0:
+    if type(big_n) is not int or big_n < 0:
         raise ValueError("n_external: expected a non-negative integer")
-    if not isinstance(n, int) or n < 0 or n % 2 != 0:
+    if type(n) is not int or n < 0 or n % 2 != 0:
         raise ValueError("n_vertices: expected an even non-negative integer")
 
     pairs = data["photon_pairs"]
@@ -447,7 +448,7 @@ def contraction_from_json(data: dict) -> Contraction:
     photon = [0] * n
     for p in pairs:
         a, b = p
-        if not all(isinstance(v, int) and 1 <= v <= n for v in (a, b)) or a == b:
+        if not all(type(v) is int and 1 <= v <= n for v in (a, b)) or a == b:
             raise ValueError(f"photon_pairs: {p} is not a pair of distinct vertices")
         if photon[a - 1] or photon[b - 1]:
             raise ValueError(f"photon_pairs: vertex in {p} is matched twice")
@@ -460,7 +461,7 @@ def contraction_from_json(data: dict) -> Contraction:
         raise ValueError(f"electron_targets: expected {big_n + n} entries")
     targets = []
     for entry in raw:
-        if isinstance(entry, int):
+        if type(entry) is int:
             if not 1 <= entry <= n:
                 raise ValueError(f"electron_targets: vertex {entry} out of range 1..{n}")
             targets.append(entry)

@@ -82,6 +82,18 @@ class TestSeriesCommand:
         code, _, _ = run(capsys, "series", "--family", "znp", "--n", "1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "family", [["m"], ["z"], ["znp", "--p", "1"]], ids=["m", "z", "znp"]
+    )
+    def test_roots_beyond_their_bound_is_usage_error(self, capsys, family):
+        code, out, err = run(capsys, "series", "--family", *family, "--n", "17")
+        assert code == 2
+        assert out == ""
+        assert "--n 17 exceeds its bound of 16" in err
+        code, out, _ = run(capsys, "series", "--family", *family, "--n", "16", "--order", "4")
+        assert code == 0
+        assert out
+
 
 class TestOrderCaps:
     def test_default_cap_refuses_large_order(self, capsys):
@@ -152,6 +164,27 @@ class TestCountCommand:
         assert code == 2
         assert out == ""
         assert "21 edges exceed its bound of 20" in err
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [("17", "1", "--n 17 exceeds its bound of 16"),
+         ("1", "129", "--edges 129 exceeds its bound of 128")],
+    )
+    def test_theorem2_beyond_its_bounds_is_usage_error(self, capsys, n, edges, message):
+        code, out, err = run(
+            capsys, "count", "--n", n, "--edges", edges, "--method", "theorem2"
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_theorem2_at_its_bounds(self, capsys):
+        for n, edges in [("16", "15"), ("1", "128")]:
+            code, out, _ = run(
+                capsys, "count", "--n", n, "--edges", edges, "--method", "theorem2"
+            )
+            assert code == 0
+            assert json.loads(out)["value"] > 0
 
     def test_zero_threads_is_usage_error(self, capsys):
         code, out, err = run(
@@ -318,6 +351,25 @@ class TestVerifyCommand:
 
 
 class TestConvertCommand:
+    @pytest.mark.parametrize(
+        "to, data",
+        [
+            ("contraction", {"half_edges": 2, "alpha": [[True, 2]],
+                             "sigma": [[1, 2]], "roots": [True]}),
+            ("contraction", {"half_edges": False, "alpha": [], "sigma": [], "roots": []}),
+            ("map", {"n_external": 1, "n_vertices": 2, "photon_pairs": [[1, 2]],
+                     "electron_targets": [True, 2, "ket1"]}),
+            ("map", {"n_external": True, "n_vertices": 0, "photon_pairs": [],
+                     "electron_targets": ["ket1"]}),
+        ],
+    )
+    def test_json_booleans_are_usage_errors(self, capsys, monkeypatch, to, data):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(data)))
+        code, out, err = run(capsys, "convert", "--to", to)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_map_to_contraction_file(self, capsys, tmp_path):
         src = tmp_path / "map.json"
         src.write_text(json.dumps(EXAMPLE_MAP_JSON))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nrooted.errors import BoundExceededError, ConsistencyError
 from nrooted.qft import (
     MAX_CLOSED_FORM_EDGES,
+    _m0_coefficient,
     m0_series,
     m1_closed_form,
     m2_via_routes,
@@ -168,6 +169,25 @@ class TestMSeries:
     def test_nonpositive_roots_rejected(self):
         with pytest.raises(ValueError):
             m_series(0, 4)
+
+
+class TestAgainstIntegerRoutes:
+    """Routes that share no code with the Series kernels, at the orders they reach."""
+
+    def test_single_root_series_matches_integer_recurrence(self):
+        # Arquès–Béraud: m_e = (2e−1)·m_{e−1} + Σ_{i<e} m_i·m_{e−1−i}, m_0 = 1.
+        m = [1]
+        for e in range(1, 129):
+            m.append((2 * e - 1) * m[e - 1] + sum(m[i] * m[e - 1 - i] for i in range(e)))
+        s = m_series(1, 256)
+        assert [s.coefficient(2 * e) for e in range(129)] == m
+        assert all(s.coefficient(p) == 0 for p in range(1, 257, 2))
+
+    def test_vacuum_series_matches_composition_sums(self):
+        s = m0_series(24)
+        assert [s.coefficient(2 * e) for e in range(1, 13)] == [
+            _m0_coefficient(e) for e in range(1, 13)
+        ]
 
 
 class TestMCount:

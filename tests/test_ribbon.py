@@ -322,6 +322,10 @@ class TestSerialization:
             lambda d: d.update(sigma=[[1], [2, 7, 3, 9], [4, 6, 5]]),
             lambda d: d.update(roots=[1, 2, 9]),
             lambda d: d.update(roots="1"),
+            # JSON booleans are not integers, although bool subclasses int.
+            lambda d: d.update(roots=[True, 2, 11]),
+            lambda d: d["alpha"][0].__setitem__(0, True),
+            lambda d: d.update(half_edges=False, alpha=[], sigma=[], roots=[]),
         ],
     )
     def test_malformed_documents_rejected(self, mutate):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrooted.series import Series, first_difference
+from nrooted.series import Series, first_difference, log_coefficients
 
 
 def S(*coeffs):
@@ -32,6 +32,14 @@ class TestConstruction:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             Series([0.5, 1])
+
+    def test_booleans_rejected(self):
+        with pytest.raises(TypeError):
+            Series([True, 1])
+        with pytest.raises(TypeError):
+            Series.monomial(False, 0, 2)
+        with pytest.raises(TypeError):
+            S(1, 2) * True
 
     def test_zero_and_one(self):
         assert Series.zero(3) == S(0, 0, 0, 0)
@@ -191,6 +199,8 @@ class TestSerialization:
             {"order": 0, "coeffs": ["1/0"]},
             {"order": 0, "coeffs": ["x"]},
             {"order": 0, "coeffs": "1/1"},
+            {"order": True, "coeffs": ["1/1", "0/1"]},
+            {"order": False, "coeffs": ["1/1"]},
             [],
         ],
     )
@@ -248,3 +258,108 @@ def test_log_exp_mutually_inverse(a):
     assert a.exp().log() == a
     one_plus = Series.one(a.order) + a
     assert one_plus.log().exp() == one_plus
+
+
+# ---------------------------------------------------------------------------
+# Integer kernels against schoolbook Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+
+def schoolbook_mul(a, b):
+    k = min(len(a), len(b)) - 1
+    return [sum((a[i] * b[p - i] for i in range(p + 1)), Fraction(0)) for p in range(k + 1)]
+
+
+def schoolbook_invert(a):
+    out = [1 / a[0]]
+    for p in range(1, len(a)):
+        out.append(-sum((a[i] * out[p - i] for i in range(1, p + 1)), Fraction(0)) / a[0])
+    return out
+
+
+def schoolbook_exp(a):
+    out = [Fraction(1)]
+    for p in range(1, len(a)):
+        out.append(sum((i * a[i] * out[p - i] for i in range(1, p + 1)), Fraction(0)) / p)
+    return out
+
+
+def assert_kernel_result(series, want):
+    assert series.coefficients == tuple(want)
+    assert all(type(c) is Fraction for c in series.coefficients)
+
+
+# Coefficients the kernels must all handle: integers, runs of zeros, and
+# rationals whose pairwise coprime denominators up to 10^6 make the common
+# denominator large.
+kernel_coefficients = st.one_of(
+    st.integers(-10**6, 10**6).map(Fraction),
+    st.just(Fraction(0)),
+    st.builds(
+        Fraction,
+        st.integers(-10**6, 10**6),
+        st.sampled_from([2, 3, 7, 999_983, 1_000_000, 999_999]),
+    ),
+)
+
+
+@st.composite
+def kernel_series(draw, min_order=0, max_order=12, constant=None):
+    cs = draw(st.lists(kernel_coefficients, min_size=min_order + 1, max_size=max_order + 1))
+    shape = draw(st.sampled_from(["dense", "even-only", "zero-run"]))
+    if shape == "even-only":
+        cs = [c if p % 2 == 0 else Fraction(0) for p, c in enumerate(cs)]
+    elif shape == "zero-run":
+        start = draw(st.integers(0, len(cs) - 1))
+        cs[start : start + 5] = [Fraction(0)] * len(cs[start : start + 5])
+    if constant is not None:
+        cs[0] = draw(constant)
+    return Series(cs)
+
+
+nonzero_constants = st.one_of(
+    st.sampled_from([Fraction(-7, 3), Fraction(1), Fraction(-1), Fraction(5, 999_983)]),
+    kernel_coefficients.filter(lambda c: c != 0),
+)
+
+
+class TestIntegerKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_series(), kernel_series())
+    def test_mul_matches_schoolbook(self, a, b):
+        assert_kernel_result(a * b, schoolbook_mul(a.coefficients, b.coefficients))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_series(constant=nonzero_constants))
+    def test_invert_matches_schoolbook(self, a):
+        assert_kernel_result(a.invert(), schoolbook_invert(a.coefficients))
+
+    def test_invert_negative_non_unit_constant(self):
+        a = S(Fraction(-7, 3), 0, 2, Fraction(1, 999_983), 0, 0, 5)
+        want = schoolbook_invert(a.coefficients)
+        assert want[0] == Fraction(-3, 7)
+        assert_kernel_result(a.invert(), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_series(max_order=10, constant=st.just(Fraction(0))))
+    def test_exp_matches_schoolbook(self, a):
+        assert_kernel_result(a.exp(), schoolbook_exp(a.coefficients))
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_series(max_order=10, constant=st.just(Fraction(1))))
+    def test_log_matches_scalar_recurrence(self, a):
+        # log_coefficients over Fraction scalars forms no Series products.
+        want = [Fraction(0)] + log_coefficients(a.coefficients[1:])
+        assert_kernel_result(a.log(), want)
+
+    def test_order_zero_series(self):
+        a, b = S(Fraction(-7, 3)), S(Fraction(2, 5))
+        assert_kernel_result(a * b, [Fraction(-14, 15)])
+        assert_kernel_result(a.invert(), [Fraction(-3, 7)])
+        assert_kernel_result(S(1).log(), [Fraction(0)])
+        assert_kernel_result(S(0).exp(), [Fraction(1)])
+
+    def test_integer_results_serialize_over_one(self):
+        product = S(1, 0, 3) * S(Fraction(1, 2), 0, Fraction(3, 2))
+        assert product.to_json_dict() == {"order": 2, "coeffs": ["1/2", "0/1", "3/1"]}
+        assert S(2, 4).invert().to_json_dict() == {"order": 1, "coeffs": ["1/2", "-1/1"]}

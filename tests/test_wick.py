@@ -404,6 +404,13 @@ class TestSerialization:
             lambda d: d.update(electron_targets=[1, 2, "ket0"]),
             lambda d: d.update(electron_targets=[1, 2, "bogus"]),
             lambda d: d.update(electron_targets=[9, 2, "ket1"]),
+            # JSON booleans are not integers, although bool subclasses int.
+            lambda d: d.update(electron_targets=[True, 2, "ket1"]),
+            lambda d: d.update(photon_pairs=[[True, 2]]),
+            lambda d: d.update(n_external=True),
+            lambda d: d.update(
+                n_vertices=False, photon_pairs=[], electron_targets=["ket1"]
+            ),
         ],
     )
     def test_malformed_rejected(self, mutate):
