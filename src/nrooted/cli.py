@@ -7,7 +7,8 @@ field of count reports.
 
 The truncation order defaults to 12 and is capped; the cap is 64 unless
 overridden by the ``NROOTED_MAX_ORDER`` environment variable, and an
-explicit ``--max-order`` flag takes precedence over both.
+explicit ``--max-order`` flag takes precedence over both.  Either may set the
+cap only up to :data:`ORDER_CEILING`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .errors import ConsistencyError
 from .qft import m0_series, m1_closed_form, m_count, m_series, z_np_series, z_series
@@ -34,6 +36,7 @@ from .relations import (
     zj_over_z0_in_m1,
 )
 from .ribbon import (
+    canonical_form,
     count_maps_by_division,
     enumerate_maps,
     genus_profile,
@@ -61,6 +64,15 @@ DEFAULT_MAX_ORDER = 64
 #: corner, 16 roots with 128 edges, takes about 0.6 s.
 MAX_ROOTS = 16
 MAX_THEOREM2_EDGES = 128
+
+#: Hard ceiling on the order cap, and largest ``--p`` of ``series --family
+#: znp``.  ``m_series(16, 256)`` takes about 0.8 s and ``verify --suite all
+#: --order 256`` about 1.2 s.  At ``--p`` 2048 every coefficient up to the
+#: ceiling stays under Python's 4300-digit limit on printing an int (2569 is
+#: the last that does at ``--n`` 16), and ``z_np_series(16, 2048, 256)`` takes
+#: about 0.1 s.
+ORDER_CEILING = 2 * MAX_THEOREM2_EDGES
+MAX_PHOTON_POWER = 2048
 
 #: (N, e) pairs covered by the bijection suite at desk scale.
 BIJECTION_CASES = [(1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (1, 3)]
@@ -93,15 +105,18 @@ class CountReport:
 
 def _resolve_max_order(flag_value: int | None) -> int:
     if flag_value is not None:
+        _check_bound("--max-order", flag_value, ORDER_CEILING)
         return flag_value
     env = os.environ.get("NROOTED_MAX_ORDER")
     if env is not None:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise ValueError(
                 f"NROOTED_MAX_ORDER must be an integer, got {env!r}"
             ) from None
+        _check_bound("NROOTED_MAX_ORDER", cap, ORDER_CEILING)
+        return cap
     return DEFAULT_MAX_ORDER
 
 
@@ -145,6 +160,7 @@ def _series_for(args) -> Series:
             raise ValueError("family znp requires --n >= 0")
         if args.p is None or args.p < 0:
             raise ValueError("family znp requires --p >= 0")
+        _check_bound("--p", args.p, MAX_PHOTON_POWER)
         return z_np_series(args.n, args.p, order)
     raise ValueError(f"unknown family {family!r}")
 
@@ -238,8 +254,6 @@ def _suite_ode(order: int) -> list[VerificationReport]:
 
 
 def _m1_identity_report(n: int, order: int) -> VerificationReport:
-    from math import factorial
-
     m1 = m_series(1, order)
     rhs = Series.zero(order)
     m1_power = Series.one(order)
@@ -255,8 +269,6 @@ def _m1_identity_report(n: int, order: int) -> VerificationReport:
 
 
 def _suite_theorem3(order: int) -> list[VerificationReport]:
-    from math import factorial
-
     reports: list[VerificationReport] = []
 
     table = b_table(12)
@@ -349,8 +361,6 @@ def _suite_bijection(threads: int) -> list[VerificationReport]:
             )
         )
     for n, e in FIBER_CASES:
-        from math import factorial
-
         fibers = bijection_class_multiset(n, e)
         classes = set(enumerate_maps(n, e))
         ok = set(fibers) == classes and all(
@@ -407,8 +417,6 @@ def _cmd_convert(args) -> int:
         print(json.dumps(contraction_to_json(from_map(m)), indent=2))
     else:
         w = contraction_from_json(data)
-        from .ribbon import canonical_form
-
         print(json.dumps(map_to_json(canonical_form(to_map(w))), indent=2))
     return 0
 

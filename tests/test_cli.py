@@ -95,6 +95,62 @@ class TestSeriesCommand:
         assert out
 
 
+class TestHardBounds:
+    def test_photon_power_beyond_its_bound_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "series", "--family", "znp", "--n", "0", "--p", "2049",
+            "--order", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--p 2049 exceeds its bound of 2048" in err
+
+    def test_photon_power_at_its_bound_prints_at_the_order_ceiling(self, capsys):
+        code, out, err = run(
+            capsys, "series", "--family", "znp", "--n", "16", "--p", "2048",
+            "--order", "256", "--max-order", "256", "--format", "csv",
+        )
+        assert code == 0, err
+        assert out.splitlines()[-1].startswith("256,")
+
+    @pytest.mark.parametrize("cap", ["257", "100000"])
+    def test_max_order_flag_beyond_the_ceiling_is_usage_error(self, capsys, cap):
+        code, out, err = run(
+            capsys, "series", "--family", "z", "--n", "0", "--order", "2",
+            "--max-order", cap,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--max-order {cap} exceeds its bound of 256" in err
+
+    @pytest.mark.parametrize("cap", ["257", "100000"])
+    def test_environment_beyond_the_ceiling_is_usage_error(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("NROOTED_MAX_ORDER", cap)
+        code, out, err = run(
+            capsys, "verify", "--suite", "ode", "--order", "100000"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"NROOTED_MAX_ORDER {cap} exceeds its bound of 256" in err
+
+    def test_order_just_past_the_ceiling_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("NROOTED_MAX_ORDER", "256")
+        code, out, err = run(
+            capsys, "series", "--family", "m", "--n", "16", "--order", "257"
+        )
+        assert code == 2
+        assert out == ""
+        assert "order 257 exceeds the configured maximum 256" in err
+
+    def test_order_at_the_ceiling(self, capsys):
+        code, out, _ = run(
+            capsys, "series", "--family", "m", "--n", "1", "--order", "256",
+            "--max-order", "256", "--format", "csv",
+        )
+        assert code == 0
+        assert out.splitlines()[-1].startswith("256,")
+
+
 class TestOrderCaps:
     def test_default_cap_refuses_large_order(self, capsys):
         code, _, err = run(capsys, "series", "--family", "z", "--n", "0", "--order", "100")
@@ -159,11 +215,21 @@ class TestCountCommand:
 
     def test_closed_form_beyond_its_bound_is_usage_error(self, capsys):
         code, out, err = run(
-            capsys, "count", "--n", "1", "--edges", "21", "--method", "closed-form"
+            capsys, "count", "--n", "1", "--edges", "129", "--method", "closed-form"
         )
         assert code == 2
         assert out == ""
-        assert "21 edges exceed its bound of 20" in err
+        assert "129 edges exceed its bound of 128" in err
+
+    def test_closed_form_at_its_bound_matches_theorem2(self, capsys):
+        values = []
+        for method in ["closed-form", "theorem2"]:
+            code, out, _ = run(
+                capsys, "count", "--n", "1", "--edges", "128", "--method", method
+            )
+            assert code == 0
+            values.append(json.loads(out)["value"])
+        assert values[0] == values[1] > 0
 
     @pytest.mark.parametrize(
         "n, edges, message",

@@ -1,14 +1,18 @@
 """Generating-function builders: factorial-sum families and map-count series."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nrooted.combinat import double_factorial
 from nrooted.errors import BoundExceededError, ConsistencyError
 from nrooted.qft import (
     MAX_CLOSED_FORM_EDGES,
+    _composition_sums,
     _m0_coefficient,
     m0_series,
     m1_closed_form,
@@ -26,6 +30,24 @@ from nrooted.series import Series, log_coefficients
 
 def S(*coeffs):
     return Series([Fraction(c) for c in coeffs])
+
+
+def arques_beraud(edges):
+    """m_1(0..edges) by m_e = (2e−1)·m_{e−1} + Σ_{i<e} m_i·m_{e−1−i}, m_0 = 1."""
+    m = [1]
+    for e in range(1, edges + 1):
+        m.append((2 * e - 1) * m[e - 1] + sum(m[i] * m[e - 1 - i] for i in range(e)))
+    return m
+
+
+def brute_composition_sums(f, total):
+    """Σ Π f(part) over every composition of total into k parts, k = 0..total."""
+    sums = [int(total == 0)] + [0] * total
+    for k in range(1, total + 1):
+        for cuts in combinations(range(1, total), k - 1):
+            bounds = (0, *cuts, total)
+            sums[k] += prod(f(b - a) for a, b in zip(bounds, bounds[1:]))
+    return sums
 
 
 class TestZSeries:
@@ -175,19 +197,40 @@ class TestAgainstIntegerRoutes:
     """Routes that share no code with the Series kernels, at the orders they reach."""
 
     def test_single_root_series_matches_integer_recurrence(self):
-        # Arquès–Béraud: m_e = (2e−1)·m_{e−1} + Σ_{i<e} m_i·m_{e−1−i}, m_0 = 1.
-        m = [1]
-        for e in range(1, 129):
-            m.append((2 * e - 1) * m[e - 1] + sum(m[i] * m[e - 1 - i] for i in range(e)))
         s = m_series(1, 256)
-        assert [s.coefficient(2 * e) for e in range(129)] == m
+        assert [s.coefficient(2 * e) for e in range(129)] == arques_beraud(128)
         assert all(s.coefficient(p) == 0 for p in range(1, 257, 2))
 
+    @pytest.mark.parametrize("e", [*range(33), 64, 127, MAX_CLOSED_FORM_EDGES])
+    def test_closed_form_matches_integer_recurrence(self, e):
+        value = m1_closed_form(e)
+        assert type(value) is int
+        assert value == arques_beraud(e)[e]
+
     def test_vacuum_series_matches_composition_sums(self):
-        s = m0_series(24)
-        assert [s.coefficient(2 * e) for e in range(1, 13)] == [
-            _m0_coefficient(e) for e in range(1, 13)
+        s = m0_series(128)
+        assert [s.coefficient(2 * e) for e in range(1, 65)] == [
+            _m0_coefficient(e) for e in range(1, 65)
         ]
+
+    def test_two_root_routes_at_order_64(self):
+        # route C needs m1_closed_form up to 31 edges, beyond the old 2^e bound
+        assert m2_via_routes(64) == m_series(2, 64)
+
+
+class TestCompositionSums:
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda p: double_factorial(2 * p - 1),
+            lambda p: factorial(2 * p) // factorial(p),
+            lambda p: p - 2,  # a zero and a negative weight
+        ],
+        ids=["odd-double-factorial", "factorial-ratio", "p-minus-2"],
+    )
+    @pytest.mark.parametrize("total", range(11))
+    def test_matches_brute_force_enumeration(self, f, total):
+        assert _composition_sums(f, total) == brute_composition_sums(f, total)
 
 
 class TestMCount:
@@ -232,10 +275,10 @@ class TestM1ClosedForm:
             m1_closed_form(-1)
 
     def test_bound_rejects_before_summing(self):
-        # 2^21 compositions would take seconds; the guard answers at once
-        assert MAX_CLOSED_FORM_EDGES == 20
-        with pytest.raises(BoundExceededError, match="bound of 20"):
-            m1_closed_form(21)
+        # the bound equals the theorem2 edge bound; the guard answers at once
+        assert MAX_CLOSED_FORM_EDGES == 128
+        with pytest.raises(BoundExceededError, match="bound of 128"):
+            m1_closed_form(129)
 
 
 class TestHigherRootRoutes:
