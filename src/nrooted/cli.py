@@ -25,6 +25,8 @@ from math import factorial
 from .errors import ConsistencyError
 from .qft import m0_series, m1_closed_form, m_count, m_series, z_np_series, z_series
 from .relations import (
+    LaurentPoly,
+    M1Polynomial,
     VerificationReport,
     b_table,
     mn_in_m1,
@@ -208,14 +210,13 @@ def _cmd_count(args) -> int:
             raise ValueError("method closed-form applies only to --n 1")
         value = m1_closed_form(e)
     elif args.method == "oracle-ribbon":
-        classes = enumerate_maps(n, e)
-        value = len(classes)
+        profile = genus_profile(n, e)
+        value = sum(profile.values())
         division = count_maps_by_division(n, e)
         if division != value:
             raise ConsistencyError(
                 f"enumeration found {value} classes but labeled division gives {division}"
             )
-        profile = genus_profile(n, e)
     elif args.method == "oracle-wick":
         value = count_connected_classes(n, e, workers=args.threads)
     else:
@@ -254,17 +255,12 @@ def _suite_ode(order: int) -> list[VerificationReport]:
 
 
 def _m1_identity_report(n: int, order: int) -> VerificationReport:
-    m1 = m_series(1, order)
-    rhs = Series.zero(order)
-    m1_power = Series.one(order)
-    by_power: dict[int, list[tuple[int, int]]] = {}
-    for coeff, lam, mpow in M1_IDENTITIES[n]:
-        by_power.setdefault(mpow, []).append((coeff, lam))
-    for mpow in range(max(by_power) + 1):
-        for coeff, lam in by_power.get(mpow, []):
-            rhs = rhs + Series.monomial(coeff, lam, order) * m1_power
-        m1_power = m1_power * m1
     lhs = Series.monomial(factorial(n), 2 * n - 2, order) * m_series(n, order)
+    row = M1_IDENTITIES[n]
+    coeffs = [LaurentPoly()] * (max(mpow for _, _, mpow in row) + 1)
+    for coeff, lam, mpow in row:
+        coeffs[mpow] = coeffs[mpow] + LaurentPoly.monomial(coeff, lam)
+    rhs = M1Polynomial(coeffs).evaluate(m_series(1, order), order)
     return report_from_difference(f"m{n}-in-m1", lhs, rhs)
 
 

@@ -109,11 +109,12 @@ def b_table(n_max: int) -> BTable:
 
 
 def _shift_down(coeffs: list[Fraction], m: int, context: str) -> list[Fraction]:
-    """Divide a coefficient vector by λ^m, asserting the low coefficients vanish."""
+    """Divide a coefficient vector by λ^m, asserting that no negative power is left."""
     for p in range(min(m, len(coeffs))):
         if coeffs[p] != 0:
             raise ConsistencyError(
-                f"{context}: coefficient {coeffs[p]} at λ^{p} obstructs division by λ^{m}"
+                f"{context}: negative power λ^{p - m} fails to cancel "
+                f"(coefficient {coeffs[p]})"
             )
     return coeffs[m:]
 
@@ -285,8 +286,6 @@ class M1Polynomial:
                     if not cj.is_zero:
                         out[i + j] = out[i + j] + ci * cj
             return M1Polynomial(out)
-        if isinstance(other, LaurentPoly):
-            return M1Polynomial([c * other for c in self._coeffs])
         return M1Polynomial([c * other for c in self._coeffs])
 
     __rmul__ = __mul__
@@ -308,36 +307,23 @@ class M1Polynomial:
 
         `m1` must be supplied to order ``order + s`` where s is the depth of
         the most negative λ-power among the coefficients; the extra orders are
-        consumed by the division.  Non-cancelling negative powers raise
-        :class:`ConsistencyError`.
+        consumed by the division.  Horner's rule runs on λ^s times the
+        polynomial; non-cancelling negative powers raise :class:`ConsistencyError`.
         """
         shift = max(0, -self.min_lambda_power())
-        if m1.order < order + shift:
+        top = order + shift
+        if m1.order < top:
             raise ValueError(
-                f"need the substitution series to order {order + shift}, "
-                f"got {m1.order}"
+                f"need the substitution series to order {top}, got {m1.order}"
             )
-        acc: dict[int, Fraction] = {}
-        power_of_m1 = Series.one(m1.order)
-        for i, laurent in enumerate(self._coeffs):
-            if i > 0:
-                power_of_m1 = power_of_m1 * m1
-            if laurent.is_zero:
-                continue
-            for lam_power, coeff in laurent.items():
-                for p in range(-shift, order + 1):
-                    src = p - lam_power
-                    if 0 <= src <= power_of_m1.order:
-                        c = power_of_m1.coefficient(src)
-                        if c != 0:
-                            acc[p] = acc.get(p, Fraction(0)) + coeff * c
-        for p in range(-shift, 0):
-            if acc.get(p, Fraction(0)) != 0:
-                raise ConsistencyError(
-                    f"negative power λ^{p} fails to cancel "
-                    f"(coefficient {acc[p]}) during M₁ substitution"
-                )
-        return Series([acc.get(p, Fraction(0)) for p in range(order + 1)])
+
+        def lifted(laurent: LaurentPoly) -> Series:  # λ^shift · laurent, to order top
+            return Series([laurent._terms.get(p - shift, 0) for p in range(top + 1)])
+
+        acc = lifted(self._coeffs[-1])
+        for laurent in reversed(self._coeffs[:-1]):
+            acc = acc * m1 + lifted(laurent)
+        return Series(_shift_down(list(acc.coefficients), shift, "M₁ substitution"))
 
 
 def _ratio_bracket(k: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -356,6 +342,13 @@ def _ratio_bracket(k: int) -> tuple[LaurentPoly, LaurentPoly]:
             const = const - LaurentPoly.monomial(dfac, -(2 * k - 2 * m - 2))
             linear = linear + LaurentPoly.monomial(dfac, -(2 * k - 2 * m - 4))
     return const, linear
+
+
+def _require_substitution(context: str, poly: M1Polynomial, expected: Series) -> None:
+    """Substitute the M₁ series into poly and require it to equal `expected`."""
+    order = expected.order
+    shift = max(0, -poly.min_lambda_power())
+    _require_equal(context, poly.evaluate(m_series(1, order + shift), order), expected)
 
 
 def zj_over_z0_in_m1(j: int, order: int) -> M1Polynomial:
@@ -381,13 +374,10 @@ def zj_over_z0_in_m1(j: int, order: int) -> M1Polynomial:
             const, linear = _ratio_bracket(k)
             poly = poly + M1Polynomial([const * weight, linear * weight])
 
-    expected = z_series(j, order) * z_series(0, order).invert()
-    shift = max(0, -poly.min_lambda_power())
-    actual = poly.evaluate(m_series(1, order + shift), order)
-    _require_equal(
+    _require_substitution(
         f"zj_over_z0_in_m1({j}): substitution and direct division differ",
-        actual,
-        expected,
+        poly,
+        z_series(j, order) * z_series(0, order).invert(),
     )
     return poly
 
@@ -412,11 +402,9 @@ def mn_in_m1(n: int, order: int) -> M1Polynomial:
         raise ConsistencyError(
             f"mn_in_m1({n}): degree {total.degree}, expected exactly {n}"
         )
-    shift = max(0, -total.min_lambda_power())
-    actual = total.evaluate(m_series(1, order + shift), order)
-    _require_equal(
+    _require_substitution(
         f"mn_in_m1({n}): substitution and the direct series differ",
-        actual,
+        total,
         m_series(n, order),
     )
     return total

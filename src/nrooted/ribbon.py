@@ -52,7 +52,7 @@ __all__ = [
     "map_from_json",
 ]
 
-#: Default ceiling on half-edges for the exhaustive oracle (e ≤ 4).
+#: Ceiling on half-edges of the labeled scans in this module (e ≤ 4).
 MAX_HALF_EDGES = 8
 
 
@@ -152,20 +152,9 @@ def validate(m: RootedMap) -> list[str]:
             problems.append(f"root out of range 1..{n}")
         elif len(set(m.roots)) != len(m.roots):
             problems.append("duplicate root half-edges")
-        else:
-            cycle_id = _cycle_ids(m.sigma)
-            if len({cycle_id[r] for r in m.roots}) != len(m.roots):
-                problems.append("roots share a σ-cycle")
+        elif not _roots_in_distinct_cycles(m.sigma, m.roots):
+            problems.append("roots share a σ-cycle")
     return problems
-
-
-def _cycle_ids(sigma: Perm) -> dict[int, int]:
-    """Map each half-edge to the index of its σ-cycle."""
-    ids: dict[int, int] = {}
-    for idx, cyc in enumerate(cycles_of(sigma)):
-        for h in cyc:
-            ids[h] = idx
-    return ids
 
 
 def _require_valid(m: RootedMap, context: str) -> None:
@@ -281,10 +270,10 @@ def _is_transitive(alpha: Perm, sigma: Perm, n: int) -> bool:
     return uf.components == 1
 
 
-def _roots_in_distinct_cycles(sigma: Perm, n_roots: int) -> bool:
-    """Do half-edges 1..n_roots lie in pairwise distinct σ-cycles?"""
+def _roots_in_distinct_cycles(sigma: Perm, roots: tuple[int, ...]) -> bool:
+    """Do the root half-edges lie in pairwise distinct σ-cycles?"""
     seen: set[int] = set()
-    for r in range(1, n_roots + 1):
+    for r in roots:
         if r in seen:
             return False
         h = r
@@ -321,17 +310,14 @@ def _is_canonical_candidate(alpha: Perm, sigma: Perm, n_roots: int, n: int) -> b
     return next_expected == n + 1
 
 
-def enumerate_maps(
-    n_roots: int, edges: int, exhaustive: bool = False
-) -> list[RootedMap]:
+def enumerate_maps(n_roots: int, edges: int) -> list[RootedMap]:
     """All isomorphism classes of N-rooted maps with the given edge count.
 
-    Returns one canonical representative per class, sorted.  The default
-    route enumerates (alpha, sigma) pairs and keeps exactly the labelings
-    that are already canonical with roots (1..N) — each class has precisely
-    one such labeling.  ``exhaustive=True`` instead walks every valid
-    (alpha, sigma, roots) triple and deduplicates through canonical_form;
-    the two routes must agree and the tests compare them.
+    Returns one canonical representative per class, sorted.  The scan
+    enumerates (alpha, sigma) pairs and keeps exactly the labelings that are
+    already canonical with roots (1..N) — each class has precisely one such
+    labeling.  The contraction oracle of :mod:`nrooted.wick` is the
+    independent check on this list.
     """
     _check_bounds(n_roots, edges)
     if edges == 0:
@@ -341,32 +327,17 @@ def enumerate_maps(
         return []
 
     found: list[RootedMap] = []
-    if not exhaustive:
-        roots = tuple(range(1, n_roots + 1))
-        for alpha in fixed_point_free_involutions(n):
-            for images in itertools.permutations(range(1, n + 1)):
-                sigma: Perm = images
-                if not _roots_in_distinct_cycles(sigma, n_roots):
-                    continue
-                if _is_canonical_candidate(alpha, sigma, n_roots, n) and (
-                    n_roots == 1 or _is_transitive(alpha, sigma, n)
-                ):
-                    found.append(RootedMap(n, alpha, sigma, roots))
-        return sorted(found)
-
-    classes: set[RootedMap] = set()
+    roots = tuple(range(1, n_roots + 1))
     for alpha in fixed_point_free_involutions(n):
         for images in itertools.permutations(range(1, n + 1)):
             sigma: Perm = images
-            if not _is_transitive(alpha, sigma, n):
+            if not _roots_in_distinct_cycles(sigma, roots):
                 continue
-            cycles = cycles_of(sigma)
-            for cycle_choice in itertools.permutations(cycles, n_roots):
-                for root_tuple in itertools.product(*cycle_choice):
-                    classes.add(
-                        canonical_form(RootedMap(n, alpha, sigma, root_tuple))
-                    )
-    return sorted(classes)
+            if _is_canonical_candidate(alpha, sigma, n_roots, n) and (
+                n_roots == 1 or _is_transitive(alpha, sigma, n)
+            ):
+                found.append(RootedMap(n, alpha, sigma, roots))
+    return sorted(found)
 
 
 def count_maps_by_division(n_roots: int, edges: int) -> int:
@@ -487,7 +458,7 @@ def map_from_json(data: dict) -> RootedMap:
             raise ValueError(f"{field}: {exc}") from None
 
     if n == 0:
-        if data["alpha"] or data["sigma"] or data["roots"]:
+        if any(data[field] != [] for field in ("alpha", "sigma", "roots")):
             raise ValueError("edgeless map JSON must have empty alpha/sigma/roots")
         return point_map()
 

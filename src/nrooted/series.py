@@ -136,7 +136,7 @@ class Series:
 
     @classmethod
     def zero(cls, order: int) -> "Series":
-        return cls([], order=order) if order >= 0 else cls([0])
+        return cls([], order=order)
 
     @classmethod
     def one(cls, order: int) -> "Series":

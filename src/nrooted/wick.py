@@ -43,7 +43,7 @@ from .permutations import (
     fixed_point_free_involutions,
     is_involution_without_fixed_points,
 )
-from .ribbon import RootedMap, _canonical_relabeling, point_map, validate
+from .ribbon import RootedMap, _canonical_relabeling, _require_valid, point_map, validate
 
 __all__ = [
     "MAX_SLOTS",
@@ -288,9 +288,7 @@ def from_map(m: RootedMap) -> Contraction:
     smallest vertex.  The edgeless 1-rooted map becomes the bare line
     bra₁ → ket₁.
     """
-    problems = validate(m)
-    if problems:
-        raise ValueError(f"from_map: invalid map: {'; '.join(problems)}")
+    _require_valid(m, "from_map")
     if m.is_point:
         return Contraction(1, 0, (), (1,))
 

@@ -323,6 +323,25 @@ class TestCountCommand:
         assert code == 1
         assert err
 
+    def test_structural_oracle_scans_once(self, capsys, monkeypatch):
+        import nrooted.ribbon
+
+        calls = []
+        real = nrooted.ribbon.enumerate_maps
+
+        def counted(n, e):
+            calls.append((n, e))
+            return real(n, e)
+
+        monkeypatch.setattr(nrooted.cli, "enumerate_maps", counted)
+        monkeypatch.setattr(nrooted.ribbon, "enumerate_maps", counted)
+        code, out, _ = run(
+            capsys, "count", "--n", "2", "--edges", "2", "--method", "oracle-ribbon"
+        )
+        assert code == 0
+        assert json.loads(out)["value"] == 13
+        assert calls == [(2, 2)]
+
     def test_out_of_bounds_oracle_is_usage_error(self, capsys):
         code, _, _ = run(
             capsys, "count", "--n", "1", "--edges", "5", "--method", "oracle-ribbon"
@@ -415,6 +434,25 @@ class TestVerifyCommand:
         assert err.startswith("FAIL m3-in-m1-closure: ")
         assert "at λ^4: 6 != 7" in err
 
+    def test_wrong_table_identity_fails_alone(self, capsys, monkeypatch):
+        # 7·λ²·M₁ becomes 8·λ²·M₁ in the N = 3 row; the extra λ²·M₁ first
+        # shows at λ², where 3!·λ⁴·M₃ has 0
+        table = {n: list(row) for n, row in nrooted.cli.M1_IDENTITIES.items()}
+        table[3] = [(8, 2, 1) if term == (7, 2, 1) else term for term in table[3]]
+        monkeypatch.setattr(nrooted.cli, "M1_IDENTITIES", table)
+        code, out, err = run(capsys, "verify", "--suite", "theorem3")
+        assert code == 1
+        failed = [r for r in json.loads(out) if not r["pass"]]
+        assert failed == [
+            {
+                "identity": "m3-in-m1",
+                "order_checked": 12,
+                "pass": False,
+                "first_failure_power": 2,
+            }
+        ]
+        assert err == "FAIL m3-in-m1: at λ^2: 0 != 1\n"
+
 
 class TestConvertCommand:
     @pytest.mark.parametrize(
@@ -423,6 +461,7 @@ class TestConvertCommand:
             ("contraction", {"half_edges": 2, "alpha": [[True, 2]],
                              "sigma": [[1, 2]], "roots": [True]}),
             ("contraction", {"half_edges": False, "alpha": [], "sigma": [], "roots": []}),
+            ("contraction", {"half_edges": 0, "alpha": 0, "sigma": None, "roots": False}),
             ("map", {"n_external": 1, "n_vertices": 2, "photon_pairs": [[1, 2]],
                      "electron_targets": [True, 2, "ket1"]}),
             ("map", {"n_external": True, "n_vertices": 0, "photon_pairs": [],

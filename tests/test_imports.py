@@ -1,4 +1,7 @@
-"""Every module-level import in the package is used (a stdlib stand-in for a linter)."""
+"""Every module-level import and private helper in the package is used.
+
+A stdlib stand-in for a linter.
+"""
 
 import ast
 from pathlib import Path
@@ -30,6 +33,28 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def dead_private_helpers(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each module-level private function or class that no
+    source references, by name or as an attribute."""
+    defined: list[tuple[str, str]] = []
+    referenced: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                defined.append((module, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return [f"{module}.{name}" for module, name in defined if name not in referenced]
+
+
 def test_package_modules_found():
     assert {"cli.py", "wick.py", "series.py"} <= {p.name for p in MODULES}
 
@@ -50,3 +75,29 @@ def test_scanner_reports_unused_and_spares_used_or_exported():
         "    return j.dumps(x)\n"
     )
     assert unused_imports(source) == ["os", "unused"]
+
+
+def test_no_dead_private_helpers():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
+    assert dead_private_helpers(sources) == []
+
+
+def test_scanner_reports_unreferenced_private_helpers():
+    sources = {
+        "a": (
+            "def _used():\n"
+            "    return 1\n"
+            "def _called_elsewhere():\n"
+            "    return 2\n"
+            "def _dead():\n"
+            "    return 3\n"
+            "class _Gone:\n"
+            "    pass\n"
+            "def __getattr__(name):\n"
+            "    raise AttributeError(name)\n"
+            "def public():\n"
+            "    return _used()\n"
+        ),
+        "b": "import a\nvalue = a._called_elsewhere()\n",
+    }
+    assert dead_private_helpers(sources) == ["a._dead", "a._Gone"]

@@ -199,7 +199,7 @@ class TestM1Polynomial:
     def test_evaluate_detects_noncancelling_negative_powers(self):
         p = mn_in_m1(2, 8)
         wrong = Series.monomial(2, 0, 10)  # constant 2 leaves a λ^-2 remnant
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match=r"λ\^-2 fails to cancel \(coefficient 1/2\)"):
             p.evaluate(wrong, 8)
 
 

@@ -45,6 +45,10 @@ class TestConstruction:
         assert Series.zero(3) == S(0, 0, 0, 0)
         assert Series.one(2) == S(1, 0, 0)
 
+    def test_zero_rejects_a_negative_order(self):
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            Series.zero(-3)
+
 
 class TestArithmetic:
     def test_add_example(self):
