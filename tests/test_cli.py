@@ -461,11 +461,11 @@ class TestConvertCommand:
             ("contraction", {"half_edges": 2, "alpha": [[True, 2]],
                              "sigma": [[1, 2]], "roots": [True]}),
             ("contraction", {"half_edges": False, "alpha": [], "sigma": [], "roots": []}),
-            ("contraction", {"half_edges": 0, "alpha": 0, "sigma": None, "roots": False}),
             ("map", {"n_external": 1, "n_vertices": 2, "photon_pairs": [[1, 2]],
                      "electron_targets": [True, 2, "ket1"]}),
             ("map", {"n_external": True, "n_vertices": 0, "photon_pairs": [],
                      "electron_targets": ["ket1"]}),
+            ("contraction", {"half_edges": 0, "alpha": 0, "sigma": None, "roots": False}),
         ],
     )
     def test_json_booleans_are_usage_errors(self, capsys, monkeypatch, to, data):
