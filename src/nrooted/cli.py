@@ -68,7 +68,7 @@ MAX_ROOTS = 16
 MAX_THEOREM2_EDGES = 128
 
 #: Hard ceiling on the order cap, and largest ``--p`` of ``series --family
-#: znp``.  ``m_series(16, 256)`` takes about 0.8 s and ``verify --suite all
+#: znp``.  ``m_series(16, 256)`` takes about 0.5 s and ``verify --suite all
 #: --order 256`` about 1.2 s.  At ``--p`` 2048 every coefficient up to the
 #: ceiling stays under Python's 4300-digit limit on printing an int (2569 is
 #: the last that does at ``--n`` 16), and ``z_np_series(16, 2048, 256)`` takes
@@ -171,12 +171,7 @@ def _format_series(series: Series, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(series.to_json_dict(), indent=2)
     if fmt == "csv":
-        rows = [
-            f"{p},{series.coefficient(p)}"
-            for p in range(series.order + 1)
-            if series.coefficient(p) != 0
-        ]
-        return "\n".join(rows)
+        return "\n".join(f"{p},{c}" for p, c in enumerate(series.coefficients) if c != 0)
     if fmt == "text":
         return series.format_terms()
     raise ValueError(f"unknown format {fmt!r}")
@@ -265,6 +260,8 @@ def _m1_identity_report(n: int, order: int) -> VerificationReport:
 
 
 def _suite_theorem3(order: int) -> list[VerificationReport]:
+    if order < 8:  # the m5-in-m1 identity multiplies M_5 by 5!·λ^8
+        raise ValueError("theorem3 needs order at least 8")
     reports: list[VerificationReport] = []
 
     table = b_table(12)

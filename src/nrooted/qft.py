@@ -129,32 +129,38 @@ def m0_series(order: int) -> Series:
     return z_series(0, order).log()
 
 
-def _composition_sums(f, total: int) -> list[int]:
-    """S_k(total) = Σ over compositions of ``total`` into k parts of Π f(part).
+def _composition_table(f, total: int) -> list[list[int]]:
+    """rows[k][t] = S_k(t) for 0 ≤ k, t ≤ total, where S_k(t) sums Π f(part)
+    over the compositions of t into k parts.
 
-    Returns [S_0(total), …, S_total(total)], by a dynamic programme over the
-    last part: S_k(t) = Σ_p f(p)·S_{k−1}(t−p), with S_0(t) = [t = 0].  A
-    composition of t into k parts has every part at most t−k+1.
+    A dynamic programme over the last part: S_k(t) = Σ_p f(p)·S_{k−1}(t−p),
+    with S_0(t) = [t = 0].  A composition of t into k parts has every part at
+    most t−k+1.
     """
     weights = [0] + [f(p) for p in range(1, total + 1)]
-    row = [1] + [0] * total
-    sums = [row[total]]
+    rows = [[1] + [0] * total]
     for k in range(1, total + 1):
-        row = [0] * k + [
+        row = rows[-1]
+        rows.append([0] * k + [
             sum(weights[p] * row[t - p] for p in range(1, t - k + 2))
             for t in range(k, total + 1)
-        ]
-        sums.append(row[total])
-    return sums
+        ])
+    return rows
 
 
-def _m0_coefficient(e: int) -> Fraction:
-    """[λ^{2e}] M0 as the alternating composition sum over double factorials."""
-    sums = _composition_sums(lambda p: double_factorial(2 * p - 1), e)
+def _m0_coefficient(odd: list[list[int]], e: int) -> Fraction:
+    """[λ^{2e}] M0 as the alternating composition sum over double factorials,
+    read from the first table of :func:`_closed_form_tables` that reaches e."""
     return sum(
-        (Fraction((-1) ** (k + 1), k) * s for k, s in enumerate(sums) if k),
+        (Fraction((-1) ** (k + 1), k) * odd[k][e] for k in range(1, e + 1)),
         Fraction(0),
     )
+
+
+@cache
+def _scaled_quotient(j: int, order: int) -> Series:
+    """(Z_j/Z_0)/(j!)², the j-th term of the series whose logarithm is taken."""
+    return z_series(j, order) * z_series(0, order).invert() * Fraction(1, factorial(j) ** 2)
 
 
 @cache
@@ -167,17 +173,16 @@ def m_series(n: int, order: int) -> Series:
         M_N = N! · [t^N] log(1 + Σ_{j≥1} q_j t^j / (j!)²),
 
     the closed form of the paper's Theorem-2 inclusion–exclusion.  The
-    result must have non-negative integer coefficients (they are counts); any
-    other outcome raises :class:`ConsistencyError`.
+    recurrence resumes from the cached lower parts m_series(i)/i!, i < N.
+    The result (integers over one denominator, read as ``Fraction`` values)
+    must have non-negative integer coefficients (they are counts); any other
+    outcome raises :class:`ConsistencyError`.
     """
     if n < 1:
         raise ValueError("n must be at least 1 (counts are for rooted objects)")
-    z0_inv = z_series(0, order).invert()
-    scaled = [
-        z_series(j, order) * z0_inv * Fraction(1, factorial(j) ** 2)
-        for j in range(1, n + 1)
-    ]
-    total = log_coefficients(scaled)[-1] * factorial(n)
+    known = [m_series(i, order) * Fraction(1, factorial(i)) for i in range(1, n)]
+    scaled = [_scaled_quotient(j, order) for j in range(1, n + 1)]
+    total = log_coefficients(scaled, known)[-1] * factorial(n)
     for p, c in enumerate(total.coefficients):
         if c.denominator != 1 or c < 0:
             raise ConsistencyError(
@@ -194,6 +199,38 @@ def m_count(n: int, edges: int) -> int:
     return int(m_series(n, 2 * edges).coefficient(2 * edges))
 
 
+def _closed_form_tables(edges: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Composition tables of the weights (2p−1)!! and (2p)!/p! up to t = edges+1;
+    beyond :data:`MAX_CLOSED_FORM_EDGES` edges, :class:`BoundExceededError`."""
+    if edges > MAX_CLOSED_FORM_EDGES:
+        raise BoundExceededError(
+            f"closed form: {edges} edges exceed its bound of {MAX_CLOSED_FORM_EDGES}"
+        )
+    return (
+        _composition_table(lambda p: double_factorial(2 * p - 1), edges + 1),
+        _composition_table(lambda p: factorial(2 * p) // factorial(p), edges + 1),
+    )
+
+
+def _m1_from_tables(e: int, odd: list[list[int]], ratio: list[list[int]]) -> int:
+    """m_1(e) from :func:`_closed_form_tables` that reach e edges, cross-checked."""
+    # Σ_k (−1)^k S_{k+1}(e+1): the sign alternates with the number of parts.
+    variant_a, raw_b = (
+        sum((-1) ** k * rows[k + 1][e + 1] for k in range(e + 1)) for rows in (odd, ratio)
+    )
+    variant_b, remainder = divmod(raw_b, 2 ** (e + 1))
+    if remainder != 0:
+        raise ConsistencyError(
+            f"m1_closed_form({e}): factorial-ratio sum {raw_b} is not divisible "
+            f"by 2^{e + 1}"
+        )
+    if variant_a != variant_b:
+        raise ConsistencyError(
+            f"m1_closed_form({e}): variants disagree ({variant_a} vs {variant_b})"
+        )
+    return variant_a
+
+
 def m1_closed_form(edges: int) -> int:
     """m_1(e) from the two explicit alternating composition sums, cross-checked.
 
@@ -203,33 +240,9 @@ def m1_closed_form(edges: int) -> int:
     Beyond :data:`MAX_CLOSED_FORM_EDGES` edges it raises
     :class:`BoundExceededError` instead of starting the sums.
     """
-    e = edges
-    if e < 0:
+    if edges < 0:
         raise ValueError("edge count must be non-negative")
-    if e > MAX_CLOSED_FORM_EDGES:
-        raise BoundExceededError(
-            f"closed form: {e} edges exceed its bound of {MAX_CLOSED_FORM_EDGES}"
-        )
-
-    # Σ_k (−1)^k S_{k+1}(e+1): the sign alternates with the number of parts.
-    def alternating(f) -> int:
-        sums = _composition_sums(f, e + 1)
-        return sum((-1) ** k * s for k, s in enumerate(sums[1:]))
-
-    variant_a = alternating(lambda p: double_factorial(2 * p - 1))
-    raw_b = alternating(lambda p: factorial(2 * p) // factorial(p))
-    variant_b, remainder = divmod(raw_b, 2 ** (e + 1))
-    if remainder != 0:
-        raise ConsistencyError(
-            f"m1_closed_form({e}): factorial-ratio sum {raw_b} is not divisible "
-            f"by 2^{e + 1}"
-        )
-
-    if variant_a != variant_b:
-        raise ConsistencyError(
-            f"m1_closed_form({e}): variants disagree ({variant_a} vs {variant_b})"
-        )
-    return variant_a
+    return _m1_from_tables(edges, *_closed_form_tables(edges))
 
 
 def m2_via_routes(order: int) -> Series:
@@ -239,14 +252,11 @@ def m2_via_routes(order: int) -> Series:
     B: connected-vacuum calculus   λ²/2·M0'' - λ²/2·(M0')²
     C: explicit coefficients       m_2(e) = e(2e-1)·[λ^{2e}]M0
                                           - ½ Σ_{k=1}^{e-1} m_1(k) m_1(e-k)
-    with m_2(1) = 1, using the closed forms for [λ^{2e}]M0 and m_1.
+    using the closed forms for [λ^{2e}]M0 and m_1.
     """
-    z0 = z_series(0, order)
-    z0_inv = z0.invert()
-    route_a = (
-        z_series(2, order) * z0_inv * Fraction(1, 2)
-        - (z_series(1, order) * z0_inv) ** 2
-    )
+    # with q_j = (Z_j/Z_0)/(j!)², Z_2/(2 Z_0) = 2·q_2
+    q1, q2 = _scaled_quotient(1, order), _scaled_quotient(2, order)
+    route_a = q2 * 2 - q1 ** 2
 
     m0 = m0_series(order + 2)
     d1 = m0.derivative()
@@ -256,13 +266,14 @@ def m2_via_routes(order: int) -> Series:
         - ((d1 * d1).shifted(2) * Fraction(1, 2)).truncate(order)
     )
 
+    # One table per weight serves every e: [λ^{2e}]M0 reads S_k(e) and m_1(k)
+    # reads S_k(k+1), for e ≤ order/2 and k < order/2.
+    half = order // 2
+    odd, ratio = _closed_form_tables(half - 1)
+    m1_values = {k: _m1_from_tables(k, odd, ratio) for k in range(1, half)}
     coeffs = [Fraction(0)] * (order + 1)
-    m1_values = {k: m1_closed_form(k) for k in range(1, order // 2)}
-    for e in range(1, order // 2 + 1):
-        if e == 1:
-            coeffs[2] = Fraction(1)
-            continue
-        first = e * (2 * e - 1) * _m0_coefficient(e)
+    for e in range(1, half + 1):
+        first = e * (2 * e - 1) * _m0_coefficient(odd, e)
         conv = sum(m1_values[k] * m1_values[e - k] for k in range(1, e))
         coeffs[2 * e] = first - Fraction(conv, 2)
     route_c = Series(coeffs)
@@ -279,15 +290,9 @@ def m3_via_routes(order: int) -> Series:
     B: connected-vacuum calculus
        2/3·λ³(M0')³ - λ³·M0'·M0'' + λ³/6·M0'''.
     """
-    z0_inv = z_series(0, order).invert()
-    q1 = z_series(1, order) * z0_inv
-    q2 = z_series(2, order) * z0_inv
-    q3 = z_series(3, order) * z0_inv
-    route_a = (
-        q3 * Fraction(1, 6)
-        - q1 * q2 * Fraction(3, 2)
-        + q1 ** 3 * Fraction(2)
-    )
+    # with q_j = (Z_j/Z_0)/(j!)², Z_3/(6 Z_0) = 6·q_3 and 3 Z_1 Z_2/(2 Z_0²) = 6·q_1·q_2
+    q1, q2, q3 = (_scaled_quotient(j, order) for j in (1, 2, 3))
+    route_a = q3 * 6 - q1 * q2 * 6 + q1 ** 3 * 2
 
     m0 = m0_series(order + 3)
     d1 = m0.derivative()

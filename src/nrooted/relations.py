@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from .combinat import double_factorial
@@ -351,12 +352,13 @@ def _require_substitution(context: str, poly: M1Polynomial, expected: Series) ->
     _require_equal(context, poly.evaluate(m_series(1, order + shift), order), expected)
 
 
+@cache
 def zj_over_z0_in_m1(j: int, order: int) -> M1Polynomial:
     """The quotient Z_j/Z_0 as a degree-<=1 polynomial in M₁.
 
     Assembled from the B-table against the bracket terms; validated by
     substituting the M₁ series and comparing with the direct series division
-    to the requested order.
+    to the requested order, once per (j, order).
     """
     if j < 0:
         raise ValueError("j must be non-negative")
@@ -382,21 +384,31 @@ def zj_over_z0_in_m1(j: int, order: int) -> M1Polynomial:
     return poly
 
 
+@cache
+def _mn_part(n: int, order: int) -> M1Polynomial:
+    """M_N/N! resumed from the lower parts; unchecked, so that a failed
+    check of one :func:`mn_in_m1` does not fail those above it."""
+    known = [_mn_part(i, order) for i in range(1, n)]
+    scaled = [
+        zj_over_z0_in_m1(j, order) * Fraction(1, factorial(j) ** 2)
+        for j in range(1, n + 1)
+    ]
+    return log_coefficients(scaled, known)[-1]
+
+
+@cache
 def mn_in_m1(n: int, order: int) -> M1Polynomial:
     """M_N as a polynomial of degree exactly N in M₁.
 
     Takes the same logarithm as :func:`~nrooted.qft.m_series`,
     M_N = N! · [t^N] log(1 + Σ_j (Z_j/Z_0) t^j/(j!)²), over the degree-1
-    quotient polynomials instead of series; validated by degree check and
-    by substituting the M₁ series against m_series(N).
+    quotient polynomials instead of series, resumed from the lower M_i/i!;
+    validated by degree check and by substituting the M₁ series against
+    m_series(N), once per (n, order).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    scaled = [
-        zj_over_z0_in_m1(j, order) * Fraction(1, factorial(j) ** 2)
-        for j in range(1, n + 1)
-    ]
-    total = log_coefficients(scaled)[-1] * factorial(n)
+    total = _mn_part(n, order) * factorial(n)
 
     if total.degree != n:
         raise ConsistencyError(

@@ -2,12 +2,15 @@
 
 A :class:`Series` is a dense vector of rational coefficients c[0..K] for the
 powers x^0..x^K of the formal variable, together with its truncation order K.
-All arithmetic is exact (``fractions.Fraction``); floats are rejected.
+All arithmetic is exact; floats are rejected.
 
-The quadratic-time kernels (multiply, invert, exp; log through the first two)
-run the classical recurrences (Knuth, TAOCP vol. 2, §4.7) on plain ``int``
-numerators over one common denominator, skip zero factors, and form one
-``Fraction`` per output coefficient: one gcd per coefficient, not per product.
+Storage: ``int`` numerators n[0..K] over one positive denominator d, in lowest
+terms (gcd(d, n[0], …, n[K]) = 1), so equality and hashing compare
+``(numerators, denominator)``.  Every operation runs on those integers and
+ends with one content gcd; multiply, invert and exp (log through the first
+two) run the classical recurrences (Knuth, TAOCP vol. 2, §4.7) and skip zero
+factors.  ``Fraction`` values are formed only when ``coefficients`` or
+``coefficient(p)`` is read.
 
 Truncation-order rules
 ----------------------
@@ -29,7 +32,7 @@ in lowest terms with an explicit denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Iterable, Sequence, TypeVar, Union
 
 from .errors import ConsistencyError
@@ -40,17 +43,18 @@ T = TypeVar("T")
 __all__ = ["Series", "Rational", "log_coefficients", "first_difference"]
 
 
-def log_coefficients(u: Sequence[T]) -> list[T]:
+def log_coefficients(u: Sequence[T], known: Sequence[T] = ()) -> list[T]:
     """L_1..L_n with log(1 + Σ_j u_j t^j) = Σ_j L_j t^j + O(t^{n+1}).
 
     Solved from log(a)' = a'/a, i.e. j·L_j = j·u_j − Σ_{i<j} i·L_i·u_{j−i}.
-    The u_j may come from any commutative ring that admits ``+``, ``*`` and
-    multiplication by ``int`` and ``Fraction`` scalars — rationals, series,
-    polynomials.
+    ``known`` holds L_1..L_m already found for the same u_1..u_m; the
+    recurrence resumes at L_{m+1}.  The u_j may come from any commutative
+    ring that admits ``+``, ``*`` and multiplication by ``int`` and
+    ``Fraction`` scalars — rationals, series, polynomials.
     """
-    logs: list[T] = []
-    for j, u_j in enumerate(u, start=1):
-        acc = u_j * j
+    logs: list[T] = list(known)
+    for j in range(len(logs) + 1, len(u) + 1):
+        acc = u[j - 1] * j
         for i in range(1, j):
             acc = acc + logs[i - 1] * u[j - i - 1] * (-i)
         logs.append(acc * Fraction(1, j))
@@ -63,9 +67,9 @@ def first_difference(a: Series, b: Series) -> tuple[int, Fraction, Fraction] | N
     Only the powers known to both (up to the smaller order) are compared;
     ``None`` means they agree on all of them.
     """
-    for p, (x, y) in enumerate(zip(a.coefficients, b.coefficients)):
-        if x != y:
-            return p, x, y
+    for p, (x, y) in enumerate(zip(a._nums, b._nums)):
+        if x * b._den != y * a._den:
+            return p, Fraction(x, a._den), Fraction(y, b._den)
     return None
 
 
@@ -88,12 +92,6 @@ def _as_fraction(value: Rational) -> Fraction:
     raise TypeError(f"exact rational required, got {type(value).__name__}")
 
 
-def _scaled(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators n_i and one denominator d with coeffs[i] = n_i / d."""
-    d = lcm(*{c.denominator for c in coeffs})
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
-
-
 def _divided_recurrence(c: list[int], g0: int, divisor) -> list[int]:
     """g_0 = g0 and divisor(q)·g_q = Σ_{i=1}^{q} c_i·g_{q−i}; each division is exact."""
     k = len(c) - 1
@@ -112,7 +110,7 @@ def _divided_recurrence(c: list[int], g0: int, divisor) -> list[int]:
 class Series:
     """An exactly-truncated formal power series."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[Rational], order: int | None = None):
         """Build a series from coefficients c0, c1, ...; pad with zeros to `order`.
@@ -130,7 +128,19 @@ class Series:
             cs.extend(Fraction(0) for _ in range(order + 1 - len(cs)))
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
-        self._coeffs = tuple(cs)
+        # Over the lcm of lowest-terms denominators the content is already 1.
+        d = lcm(*{c.denominator for c in cs})
+        self._nums = tuple(c.numerator * (d // c.denominator) for c in cs)
+        self._den = d
+
+    @classmethod
+    def _reduced(cls, nums: Sequence[int], den: int) -> "Series":
+        """n/den for den > 0, divided by its content gcd."""
+        g = gcd(den, *nums)
+        series = object.__new__(cls)
+        series._nums = tuple(n // g for n in nums) if g != 1 else tuple(nums)
+        series._den = den // g
+        return series
 
     # -- constructors ------------------------------------------------------
 
@@ -157,11 +167,11 @@ class Series:
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(n, self._den) for n in self._nums)
 
     def coefficient(self, power: int) -> Fraction:
         """The coefficient of x^power; power must lie in 0..order."""
@@ -170,13 +180,13 @@ class Series:
                 f"coefficient of x^{power} requested, but series is only "
                 f"known to order {self.order}"
             )
-        return self._coeffs[power]
+        return Fraction(self._nums[power], self._den)
 
     def __getitem__(self, power: int) -> Fraction:
         return self.coefficient(power)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self._coeffs)
+        return not any(self._nums)
 
     def truncate(self, order: int) -> "Series":
         """The same series cut down to a lower (or equal) order."""
@@ -186,70 +196,62 @@ class Series:
             )
         if order < 0:
             raise ValueError("order must be non-negative")
-        return Series(self._coeffs[: order + 1])
+        return Series._reduced(self._nums[: order + 1], self._den)
 
     def shifted(self, powers: int) -> "Series":
         """Multiply by x^powers (powers >= 0).  Exact, so the order rises too."""
         if powers < 0:
             raise ValueError("shift must be non-negative")
-        return Series((Fraction(0),) * powers + self._coeffs)
+        return Series._reduced((0,) * powers + self._nums, self._den)
 
     # -- ring operations ---------------------------------------------------
 
-    def _binary_orders(self, other: "Series") -> int:
-        return min(self.order, other.order)
+    def _plus(self, other, sign: int):
+        """self + sign·other for a series or an exact scalar other."""
+        if not isinstance(other, Series):
+            try:
+                other = Series([other], order=self.order)
+            except TypeError:
+                return NotImplemented
+        da, db = self._den, other._den
+        d = lcm(da, db)
+        fa, fb = d // da, sign * (d // db)
+        # zip stops at the shorter operand: the minimum-order rule
+        return Series._reduced(
+            [x * fa + y * fb for x, y in zip(self._nums, other._nums)], d
+        )
 
     def __add__(self, other):
-        if isinstance(other, Series):
-            k = self._binary_orders(other)
-            return Series(
-                [self._coeffs[i] + other._coeffs[i] for i in range(k + 1)]
-            )
-        try:
-            c = _as_fraction(other)
-        except TypeError:
-            return NotImplemented
-        return Series((self._coeffs[0] + c,) + self._coeffs[1:])
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series([-c for c in self._coeffs])
+        return Series._reduced([-n for n in self._nums], self._den)
 
     def __sub__(self, other):
-        if isinstance(other, Series):
-            k = self._binary_orders(other)
-            return Series(
-                [self._coeffs[i] - other._coeffs[i] for i in range(k + 1)]
-            )
-        try:
-            c = _as_fraction(other)
-        except TypeError:
-            return NotImplemented
-        return Series((self._coeffs[0] - c,) + self._coeffs[1:])
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Series):
-            k = self._binary_orders(other)
-            a, da = _scaled(self._coeffs[: k + 1])
-            b, db = _scaled(other._coeffs[: k + 1])
-            nonzero_b = [(j, b_j) for j, b_j in enumerate(b) if b_j]
+            k = min(self.order, other.order)
+            nonzero_b = [(j, b_j) for j, b_j in enumerate(other._nums[: k + 1]) if b_j]
             out = [0] * (k + 1)
-            for i, a_i in enumerate(a):
+            for i, a_i in enumerate(self._nums[: k + 1]):
                 if a_i:
                     for j, b_j in nonzero_b:
                         if i + j > k:
                             break
                         out[i + j] += a_i * b_j
-            return Series([Fraction(c, da * db) for c in out])
+            return Series._reduced(out, self._den * other._den)
         try:
             c = _as_fraction(other)
         except TypeError:
             return NotImplemented
-        return Series([c * ci for ci in self._coeffs])
+        return Series._reduced([c.numerator * n for n in self._nums], c.denominator * self._den)
 
     __rmul__ = __mul__
 
@@ -263,14 +265,16 @@ class Series:
 
     def invert(self) -> "Series":
         """The multiplicative inverse; requires a non-zero constant term."""
-        if self._coeffs[0] == 0:
+        a, d = self._nums, self._den
+        if a[0] == 0:
             raise ValueError("cannot invert a series with zero constant term")
         # self = a/d and 1/a = Σ g_p x^p / a0^{k+1}, where g_0 = a0^k and
         # a0·g_p = −Σ_{i=1}^{p} a_i·g_{p−i}.
-        a, d = _scaled(self._coeffs)
         a0, a0_k = a[0], a[0] ** self.order
         g = _divided_recurrence([-a_i for a_i in a], a0_k, lambda p: a0)
-        return Series([Fraction(d * g_p, a0 * a0_k) for g_p in g])
+        den = a0 * a0_k  # a0^{k+1}: negative for a negative a0 and even k
+        sign = -1 if den < 0 else 1
+        return Series._reduced([sign * d * g_p for g_p in g], sign * den)
 
     def __truediv__(self, other):
         if isinstance(other, Series):
@@ -291,13 +295,13 @@ class Series:
             raise ValueError(
                 "cannot differentiate a series known only to order 0"
             )
-        return Series(
-            [i * self._coeffs[i] for i in range(1, self.order + 1)]
+        return Series._reduced(
+            [i * n for i, n in enumerate(self._nums) if i], self._den
         )
 
     def x_derivative(self) -> "Series":
         """x * d/dx, which keeps the order (coefficient p maps to p*c_p)."""
-        return Series([i * c for i, c in enumerate(self._coeffs)])
+        return Series._reduced([i * n for i, n in enumerate(self._nums)], self._den)
 
     def log(self) -> "Series":
         """Formal logarithm; requires constant term exactly 1.
@@ -305,33 +309,38 @@ class Series:
         Computed as ∫ a′·a⁻¹ through the multiply and invert kernels, which
         preserves the order.
         """
-        if self._coeffs[0] != 1:
+        if self._nums[0] != self._den:  # lowest terms: c_0 = 1 iff n_0 = d
             raise ValueError("log requires a series with constant term 1")
         if self.order == 0:
             return Series.zero(0)
-        quotient = (self.derivative() * self.invert()).coefficients
-        return Series([0] + [c / p for p, c in enumerate(quotient, start=1)])
+        quotient = self.derivative() * self.invert()
+        # ∫: coefficient p is q_{p−1}/p, over the common denominator lcm(1..k)·d
+        m = lcm(*range(1, self.order + 1))
+        return Series._reduced(
+            [0] + [q * (m // p) for p, q in enumerate(quotient._nums, start=1)],
+            m * quotient._den,
+        )
 
     def exp(self) -> "Series":
         """Formal exponential; requires constant term exactly 0."""
-        if self._coeffs[0] != 0:
+        if self._nums[0] != 0:
             raise ValueError("exp requires a series with constant term 0")
         # self = a/d and exp(self) = Σ g_q x^q / s with s = k!·d^k, where
         # g_0 = s and q·d·g_q = Σ_{i=1}^{q} i·a_i·g_{q−i} (from exp′ = self′·exp).
-        a, d = _scaled(self._coeffs)
+        a, d = self._nums, self._den
         s = factorial(self.order) * d**self.order
         g = _divided_recurrence([i * a_i for i, a_i in enumerate(a)], s, lambda q: q * d)
-        return Series([Fraction(g_q, s) for g_q in g])
+        return Series._reduced(g, s)
 
     # -- equality / hashing / display ---------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __repr__(self):
         return f"Series(order={self.order}, {self.format_terms()})"
@@ -339,7 +348,7 @@ class Series:
     def format_terms(self, variable: str = "λ") -> str:
         """Human-readable sum of non-zero terms, e.g. ``1 + 2*λ^2 + 10*λ^4``."""
         terms = []
-        for p, c in enumerate(self._coeffs):
+        for p, c in enumerate(self.coefficients):
             if c == 0:
                 continue
             if p == 0:
@@ -355,7 +364,7 @@ class Series:
     def to_json_dict(self) -> dict:
         return {
             "order": self.order,
-            "coeffs": [f"{c.numerator}/{c.denominator}" for c in self._coeffs],
+            "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coefficients],
         }
 
     @classmethod

@@ -365,6 +365,20 @@ class TestVerifyCommand:
             "m1-ode", "m0-ode", "z0-ode",
         ]
 
+    @pytest.mark.parametrize("suite", ["theorem3", "all"])
+    def test_theorem3_below_its_order_bound_is_usage_error(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--order", "7")
+        assert code == 2
+        assert out == ""
+        assert err == "error: theorem3 needs order at least 8\n"
+
+    @pytest.mark.parametrize("suite", ["theorem3", "all"])
+    def test_theorem3_at_its_order_bound_passes(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--order", "8")
+        assert code == 0
+        assert err == ""
+        assert all(r["pass"] for r in json.loads(out))
+
     def test_all_suite_is_union(self, capsys):
         _, out, _ = run(capsys, "verify", "--suite", "all")
         names = {r["identity"] for r in json.loads(out)}

@@ -1,4 +1,5 @@
-"""Every module-level import and private helper in the package is used.
+"""Every module-level import and private helper in the package is used, and
+only ``series.py`` touches the private storage of ``Series``.
 
 A stdlib stand-in for a linter.
 """
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import nrooted
+from nrooted.series import Series
 
 PACKAGE_DIR = Path(nrooted.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
@@ -101,3 +103,39 @@ def test_scanner_reports_unreferenced_private_helpers():
         "b": "import a\nvalue = a._called_elsewhere()\n",
     }
     assert dead_private_helpers(sources) == ["a._dead", "a._Gone"]
+
+
+def storage_accesses(source: str, names: set[str]) -> list[str]:
+    """``line:name`` of each attribute access to, or string literal of, one
+    of ``names`` (a ``getattr(s, "_den")`` counts too)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Constant) and node.value in names:
+            found.append((node.lineno, node.value))
+    return [f"{line}:{name}" for line, name in sorted(found)]
+
+
+SERIES_STORAGE = set(Series.__slots__)
+OUTSIDE_SERIES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "series.py")
+
+
+def test_series_storage_names_are_private():
+    assert SERIES_STORAGE and all(name.startswith("_") for name in SERIES_STORAGE)
+
+
+@pytest.mark.parametrize("path", OUTSIDE_SERIES, ids=lambda p: p.name)
+def test_series_storage_stays_inside_series_module(path):
+    assert storage_accesses(path.read_text(encoding="utf-8"), SERIES_STORAGE) == []
+
+
+def test_scanner_reports_storage_access():
+    source = (
+        "def f(s, t, u):\n"
+        "    x = s._nums\n"
+        "    s._den = 1\n"
+        "    y = getattr(t, '_nums')\n"
+        "    return x, y, u._coeffs, u.nums\n"
+    )
+    assert storage_accesses(source, {"_nums", "_den"}) == ["2:_nums", "3:_den", "4:_nums"]

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nrooted.qft
 from nrooted.combinat import double_factorial
 from nrooted.errors import BoundExceededError, ConsistencyError
 from nrooted.qft import (
     MAX_CLOSED_FORM_EDGES,
-    _composition_sums,
+    _closed_form_tables,
+    _composition_table,
     _m0_coefficient,
     m0_series,
     m1_closed_form,
@@ -209,8 +211,9 @@ class TestAgainstIntegerRoutes:
 
     def test_vacuum_series_matches_composition_sums(self):
         s = m0_series(128)
+        odd, _ = _closed_form_tables(63)
         assert [s.coefficient(2 * e) for e in range(1, 65)] == [
-            _m0_coefficient(e) for e in range(1, 65)
+            _m0_coefficient(odd, e) for e in range(1, 65)
         ]
 
     def test_two_root_routes_at_order_64(self):
@@ -230,7 +233,11 @@ class TestCompositionSums:
     )
     @pytest.mark.parametrize("total", range(11))
     def test_matches_brute_force_enumeration(self, f, total):
-        assert _composition_sums(f, total) == brute_composition_sums(f, total)
+        # every column t of the table up to `total`, not only the last
+        rows = _composition_table(f, total)
+        for t in range(total + 1):
+            assert [row[t] for row in rows[: t + 1]] == brute_composition_sums(f, t)
+            assert all(row[t] == 0 for row in rows[t + 1 :])
 
 
 class TestMCount:
@@ -296,9 +303,10 @@ class TestHigherRootRoutes:
 
     def test_route_disagreement_names_the_power(self, monkeypatch):
         # one wrong m_1(2) feeds route C only; m_2(3) is the first it touches
-        real = m1_closed_form
+        real = nrooted.qft._m1_from_tables
         monkeypatch.setattr(
-            "nrooted.qft.m1_closed_form", lambda e: real(e) + (e == 2)
+            "nrooted.qft._m1_from_tables",
+            lambda e, odd, ratio: real(e, odd, ratio) + (e == 2),
         )
         with pytest.raises(
             ConsistencyError, match=r"routes A and C disagree at λ\^6: 165 != 163"
@@ -330,3 +338,30 @@ class TestZRecursionDetail:
             ConsistencyError, match=r"routes disagree at λ\^2: 4 != 3"
         ):
             z_recursion(1, 6)
+
+
+class TestResumedLogarithm:
+    @pytest.mark.parametrize("order", [0, 1, 2, 64])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cold_cache_equals_warmed_and_unresumed(self, n, order, clear_caches):
+        cold = m_series(n, order)
+        clear_caches()
+        for i in range(1, n):
+            m_series(i, order)
+        assert m_series(n, order) == cold
+        # the recurrence taken from scratch, without the cached lower parts
+        z0 = z_series(0, order)
+        scaled = [
+            z_series(j, order) / z0 * Fraction(1, factorial(j) ** 2)
+            for j in range(1, n + 1)
+        ]
+        assert log_coefficients(scaled)[-1] * factorial(n) == cold
+
+    def test_resumes_from_known_logarithms(self):
+        u = [Fraction(3), Fraction(-1, 2), Fraction(5, 7), Fraction(2)]
+        full = log_coefficients(u)
+        for m in range(len(u) + 1):
+            assert log_coefficients(u, full[:m]) == full
+        # the known prefix is used, not recomputed: a wrong L_1 shows in L_2
+        wrong = log_coefficients(u, [full[0] + 1])
+        assert wrong[0] == full[0] + 1 and wrong[1] != full[1]

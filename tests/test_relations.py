@@ -1,9 +1,11 @@
 """Triangle table, auxiliary double-factorial series, closures, and ODE checks."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+import nrooted.relations
 from nrooted.errors import ConsistencyError
 from nrooted.qft import m0_series, m_series, z_series
 from nrooted.relations import (
@@ -19,7 +21,7 @@ from nrooted.relations import (
     verify_ode_z0,
     zj_over_z0_in_m1,
 )
-from nrooted.series import Series
+from nrooted.series import Series, log_coefficients
 
 
 def odd_double_factorial(m: int) -> int:
@@ -279,6 +281,37 @@ class TestHigherMomentsInFirstMoment:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             mn_in_m1(0, 8)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_cold_cache_equals_warmed_and_unresumed(self, n, clear_caches):
+        cold = mn_in_m1(n, 32)
+        clear_caches()
+        for i in range(1, n):
+            mn_in_m1(i, 32)
+        assert mn_in_m1(n, 32) == cold
+        scaled = [
+            zj_over_z0_in_m1(j, 32) * Fraction(1, factorial(j) ** 2)
+            for j in range(1, n + 1)
+        ]
+        assert log_coefficients(scaled)[-1] * factorial(n) == cold
+
+    def test_checks_run_once_per_argument_tuple(self, monkeypatch):
+        checked = []
+        real = nrooted.relations._require_substitution
+
+        def counted(context, poly, expected):
+            checked.append(context.split(":")[0])
+            real(context, poly, expected)
+
+        monkeypatch.setattr(nrooted.relations, "_require_substitution", counted)
+        mn_in_m1(4, 12)
+        mn_in_m1(4, 12)
+        mn_in_m1(3, 12)
+        assert checked == [
+            *(f"zj_over_z0_in_m1({j})" for j in range(1, 5)),
+            "mn_in_m1(4)",
+            "mn_in_m1(3)",
+        ]
 
 
 class TestReports:

@@ -1,6 +1,7 @@
 """Exact truncated-series arithmetic: examples, edge cases, and ring laws."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -291,6 +292,8 @@ def schoolbook_exp(a):
 def assert_kernel_result(series, want):
     assert series.coefficients == tuple(want)
     assert all(type(c) is Fraction for c in series.coefficients)
+    # one stored form per value, whatever the signs of the operands
+    assert series == Series(want) and hash(series) == hash(Series(want))
 
 
 # Coefficients the kernels must all handle: integers, runs of zeros, and
@@ -344,6 +347,12 @@ class TestIntegerKernels:
         assert want[0] == Fraction(-3, 7)
         assert_kernel_result(a.invert(), want)
 
+    @pytest.mark.parametrize("order", range(4))
+    def test_invert_negative_constant_at_every_order_parity(self, order):
+        # a0^{order+1} is negative only for odd order+1
+        a = Series([Fraction(-2, 3), 1, 0, 5][: order + 1])
+        assert_kernel_result(a.invert(), schoolbook_invert(a.coefficients))
+
     @settings(max_examples=100, deadline=None)
     @given(kernel_series(max_order=10, constant=st.just(Fraction(0))))
     def test_exp_matches_schoolbook(self, a):
@@ -367,3 +376,138 @@ class TestIntegerKernels:
         product = S(1, 0, 3) * S(Fraction(1, 2), 0, Fraction(3, 2))
         assert product.to_json_dict() == {"order": 2, "coeffs": ["1/2", "0/1", "3/1"]}
         assert S(2, 4).invert().to_json_dict() == {"order": 1, "coeffs": ["1/2", "-1/1"]}
+
+
+# ---------------------------------------------------------------------------
+# The integer representation against a Fraction reference, op by op
+# ---------------------------------------------------------------------------
+
+
+def reference_log(a):
+    # b_0 = 0 and p·b_p = p·a_p − Σ_{i=1}^{p−1} i·b_i·a_{p−i}, for a_0 = 1
+    b = [Fraction(0)]
+    for p in range(1, len(a)):
+        acc = p * a[p] - sum((i * b[i] * a[p - i] for i in range(1, p)), Fraction(0))
+        b.append(acc / p)
+    return b
+
+
+def reference_step(ref, op, arg):
+    """One chain step on a list of Fractions; ValueError where Series refuses."""
+    if op == "add":
+        return [x + y for x, y in zip(ref, arg)]
+    if op == "sub":
+        return [x - y for x, y in zip(ref, arg)]
+    if op == "scale":
+        return [arg * x for x in ref]
+    if op == "mul":
+        return schoolbook_mul(ref, arg)
+    if op == "invert":
+        if ref[0] == 0:
+            raise ValueError
+        return schoolbook_invert(ref)
+    if op == "log":
+        if ref[0] != 1:
+            raise ValueError
+        return reference_log(ref)
+    if op == "exp":
+        if ref[0] != 0:
+            raise ValueError
+        return schoolbook_exp(ref)
+    if op == "derivative":
+        if len(ref) == 1:
+            raise ValueError
+        return [p * c for p, c in enumerate(ref)][1:]
+    if op == "x_derivative":
+        return [p * c for p, c in enumerate(ref)]
+    if op == "shifted":
+        return [Fraction(0)] * arg + ref
+    if op == "truncate":
+        if arg >= len(ref):
+            raise ValueError
+        return ref[: arg + 1]
+    raise AssertionError(op)
+
+
+def series_step(series, op, arg):
+    binary = {"add": "__add__", "sub": "__sub__", "mul": "__mul__"}
+    if op in binary:
+        return getattr(series, binary[op])(Series(arg))
+    if op == "scale":
+        return series * arg
+    if op in ("shifted", "truncate"):
+        return getattr(series, op)(arg)
+    return getattr(series, op)()
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+operands = st.lists(small_rationals, min_size=1, max_size=9)
+chain_steps = st.one_of(
+    st.tuples(st.sampled_from(["add", "sub", "mul"]), operands),
+    st.tuples(st.just("scale"), small_rationals),
+    st.tuples(
+        st.sampled_from(["invert", "log", "exp", "derivative", "x_derivative"]),
+        st.none(),
+    ),
+    st.tuples(st.just("shifted"), st.integers(0, 2)),
+    st.tuples(st.just("truncate"), st.integers(0, 9)),
+)
+
+
+def assert_reads_lowest_terms(series):
+    for c in series.coefficients:
+        assert type(c) is Fraction
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+class TestRepresentationAgainstFractions:
+    @settings(max_examples=200, deadline=None)
+    @given(operands, st.lists(chain_steps, max_size=6))
+    def test_operation_chains_match_a_fraction_reference(self, start, steps):
+        series, ref = Series(start), list(start)
+        for op, arg in steps:
+            # log and exp need a fixed constant term; set it half of the time
+            if op == "log" and ref[0] != 1 and len(ref) % 2:
+                series, ref = series - ref[0] + 1, [Fraction(1)] + ref[1:]
+            if op == "exp" and ref[0] != 0 and len(ref) % 2:
+                series, ref = series - ref[0], [Fraction(0)] + ref[1:]
+            try:
+                want = reference_step(ref, op, arg)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    series_step(series, op, arg)
+                continue
+            series, ref = series_step(series, op, arg), want
+            assert series.coefficients == tuple(ref)
+            assert series.order == len(ref) - 1
+            assert series == Series(ref) and hash(series) == hash(Series(ref))
+            assert_reads_lowest_terms(series)
+
+    @settings(max_examples=100, deadline=None)
+    @given(operands, st.integers(2, 30), st.lists(small_rationals, min_size=9, max_size=9))
+    def test_equal_values_from_different_routes_are_equal_with_one_hash(
+        self, cs, k, other
+    ):
+        direct = Series(cs)
+        order = direct.order
+        routes = [
+            Series(cs) * k * Fraction(1, k),
+            Series([c * k for c in cs]) / k,
+            (Series(cs) + Series(other[: order + 1])) - Series(other[: order + 1]),
+            Series(cs) * Series.one(order),
+            Series([*cs, Fraction(7, 3)]).truncate(order),
+            -(-Series(cs)),
+            Series.from_json_dict(direct.to_json_dict()),
+        ]
+        if cs[0] != 0:
+            routes.append(Series(cs).invert().invert())
+        for route in routes:
+            assert route == direct
+            assert hash(route) == hash(direct)
+            assert_reads_lowest_terms(route)
+
+    def test_content_is_divided_out(self):
+        # 2/6 + 4/6·x built over 6 equals 1/3 + 2/3·x built over 3
+        assert S(Fraction(1, 6), Fraction(1, 3)) * 2 == S(Fraction(1, 3), Fraction(2, 3))
+        assert (S(Fraction(1, 2), Fraction(1, 2)) + S(Fraction(1, 2), Fraction(1, 2))) == S(1, 1)
+        assert hash(S(Fraction(1, 3)) * 3) == hash(S(1))
