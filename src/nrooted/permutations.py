@@ -13,7 +13,6 @@ from typing import Iterable, Iterator, Sequence
 Perm = tuple[int, ...]
 
 __all__ = [
-    "identity",
     "compose",
     "inverse",
     "cycles_of",
@@ -22,10 +21,6 @@ __all__ = [
     "fixed_point_free_involutions",
     "UnionFind",
 ]
-
-
-def identity(n: int) -> Perm:
-    return tuple(range(1, n + 1))
 
 
 def compose(p: Perm, q: Perm) -> Perm:

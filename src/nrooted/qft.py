@@ -57,14 +57,7 @@ def z_series(j: int, order: int) -> Series:
     """The 2j-point correlator expansion Σ_k (2k+j)!(2k-1)!!/(2k)! λ^{2k}."""
     if j < 0:
         raise ValueError("j must be non-negative")
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    coeffs = [Fraction(0)] * (order + 1)
-    for k in range(order // 2 + 1):
-        coeffs[2 * k] = Fraction(
-            factorial(2 * k + j) * double_factorial(2 * k - 1), factorial(2 * k)
-        )
-    return Series(coeffs)
+    return z_np_series(j, 0, order)
 
 
 def z_np_series(n: int, p: int, order: int) -> Series:
@@ -158,9 +151,15 @@ def _m0_coefficient(odd: list[list[int]], e: int) -> Fraction:
 
 
 @cache
+def _z0_inverse(order: int) -> Series:
+    """1/Z_0, shared by every quotient Z_j/Z_0 of one order."""
+    return z_series(0, order).invert()
+
+
+@cache
 def _scaled_quotient(j: int, order: int) -> Series:
     """(Z_j/Z_0)/(j!)², the j-th term of the series whose logarithm is taken."""
-    return z_series(j, order) * z_series(0, order).invert() * Fraction(1, factorial(j) ** 2)
+    return z_series(j, order) * _z0_inverse(order) * Fraction(1, factorial(j) ** 2)
 
 
 @cache

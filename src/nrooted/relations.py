@@ -27,7 +27,7 @@ from math import comb, factorial
 
 from .combinat import double_factorial
 from .errors import ConsistencyError
-from .qft import m_series, z_series
+from .qft import _z0_inverse, m_series, z_series
 from .series import Rational, Series, _require_equal, first_difference, log_coefficients
 
 __all__ = [
@@ -256,10 +256,6 @@ class M1Polynomial:
             cs.pop()
         self._coeffs = tuple(cs)
 
-    @classmethod
-    def constant(cls, value: LaurentPoly) -> "M1Polynomial":
-        return cls([value])
-
     @property
     def degree(self) -> int:
         return len(self._coeffs) - 1
@@ -379,7 +375,7 @@ def zj_over_z0_in_m1(j: int, order: int) -> M1Polynomial:
     _require_substitution(
         f"zj_over_z0_in_m1({j}): substitution and direct division differ",
         poly,
-        z_series(j, order) * z_series(0, order).invert(),
+        z_series(j, order) * _z0_inverse(order),
     )
     return poly
 

@@ -217,20 +217,12 @@ def canonical_form(m: RootedMap) -> RootedMap:
 
 
 def _canonical_relabeling(m: RootedMap) -> RootedMap:
-    """The relabeling step of :func:`canonical_form`, for a map known to be valid."""
+    """The relabeling step of :func:`canonical_form`, for a map known to be valid.
+
+    The roots are visited first, so they receive 1..N in root order.
+    """
     label = _bfs_labels(m)
-    n = m.half_edges
-    new_alpha = [0] * n
-    new_sigma = [0] * n
-    for old in range(1, n + 1):
-        new_alpha[label[old] - 1] = label[m.alpha[old - 1]]
-        new_sigma[label[old] - 1] = label[m.sigma[old - 1]]
-    return RootedMap(
-        n,
-        tuple(new_alpha),
-        tuple(new_sigma),
-        tuple(range(1, len(m.roots) + 1)),
-    )
+    return _renamed(m, [label[h] for h in range(1, m.half_edges + 1)])
 
 
 def relabel(m: RootedMap, perm: Perm) -> RootedMap:
@@ -239,6 +231,11 @@ def relabel(m: RootedMap, perm: Perm) -> RootedMap:
         return m
     if not _is_perm(perm, m.half_edges):
         raise ValueError(f"relabeling must be a permutation of 1..{m.half_edges}")
+    return _renamed(m, perm)
+
+
+def _renamed(m: RootedMap, perm) -> RootedMap:
+    """m with half-edge h renamed perm[h-1]; ``perm`` is not checked."""
     n = m.half_edges
     new_alpha = [0] * n
     new_sigma = [0] * n

@@ -182,12 +182,6 @@ class Series:
             )
         return Fraction(self._nums[power], self._den)
 
-    def __getitem__(self, power: int) -> Fraction:
-        return self.coefficient(power)
-
-    def is_zero(self) -> bool:
-        return not any(self._nums)
-
     def truncate(self, order: int) -> "Series":
         """The same series cut down to a lower (or equal) order."""
         if order > self.order:

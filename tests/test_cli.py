@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib.metadata import EntryPoint
@@ -108,83 +109,43 @@ class TestHardBounds:
     def test_photon_power_at_its_bound_prints_at_the_order_ceiling(self, capsys):
         code, out, err = run(
             capsys, "series", "--family", "znp", "--n", "16", "--p", "2048",
-            "--order", "256", "--max-order", "256", "--format", "csv",
+            "--order", "256", "--format", "csv",
         )
         assert code == 0, err
         assert out.splitlines()[-1].startswith("256,")
 
-    @pytest.mark.parametrize("cap", ["257", "100000"])
-    def test_max_order_flag_beyond_the_ceiling_is_usage_error(self, capsys, cap):
-        code, out, err = run(
-            capsys, "series", "--family", "z", "--n", "0", "--order", "2",
-            "--max-order", cap,
-        )
+    @pytest.mark.parametrize("order", ["257", "100000"])
+    @pytest.mark.parametrize(
+        "command",
+        [["series", "--family", "z", "--n", "0"], ["verify", "--suite", "ode"]],
+        ids=["series", "verify"],
+    )
+    def test_order_beyond_the_ceiling_is_usage_error(self, capsys, command, order):
+        code, out, err = run(capsys, *command, "--order", order)
         assert code == 2
         assert out == ""
-        assert f"--max-order {cap} exceeds its bound of 256" in err
+        assert err == f"error: --order {order} exceeds its bound of 256\n"
 
-    @pytest.mark.parametrize("cap", ["257", "100000"])
-    def test_environment_beyond_the_ceiling_is_usage_error(self, capsys, monkeypatch, cap):
-        monkeypatch.setenv("NROOTED_MAX_ORDER", cap)
-        code, out, err = run(
-            capsys, "verify", "--suite", "ode", "--order", "100000"
-        )
-        assert code == 2
-        assert out == ""
-        assert f"NROOTED_MAX_ORDER {cap} exceeds its bound of 256" in err
-
-    def test_order_just_past_the_ceiling_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("NROOTED_MAX_ORDER", "256")
+    def test_order_just_past_the_ceiling_is_usage_error(self, capsys):
         code, out, err = run(
             capsys, "series", "--family", "m", "--n", "16", "--order", "257"
         )
         assert code == 2
         assert out == ""
-        assert "order 257 exceeds the configured maximum 256" in err
+        assert "--order 257 exceeds its bound of 256" in err
 
     def test_order_at_the_ceiling(self, capsys):
-        code, out, _ = run(
-            capsys, "series", "--family", "m", "--n", "1", "--order", "256",
-            "--max-order", "256", "--format", "csv",
-        )
-        assert code == 0
-        assert out.splitlines()[-1].startswith("256,")
-
-
-class TestOrderCaps:
-    def test_default_cap_refuses_large_order(self, capsys):
-        code, _, err = run(capsys, "series", "--family", "z", "--n", "0", "--order", "100")
-        assert code == 2
-        assert "order" in err
-
-    def test_flag_raises_cap(self, capsys):
-        code, out, _ = run(
-            capsys, "series", "--family", "z", "--n", "0", "--order", "100",
-            "--max-order", "128", "--format", "csv",
-        )
-        assert code == 0
-        assert out.splitlines()[-1].startswith("100,")
-
-    def test_environment_raises_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("NROOTED_MAX_ORDER", "128")
-        code, _, _ = run(
-            capsys, "series", "--family", "z", "--n", "0", "--order", "100",
-            "--format", "csv",
-        )
-        assert code == 0
-
-    def test_flag_beats_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("NROOTED_MAX_ORDER", "128")
-        code, _, _ = run(
-            capsys, "series", "--family", "z", "--n", "0", "--order", "100",
-            "--max-order", "50",
-        )
-        assert code == 2
-
-    def test_unparsable_environment_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("NROOTED_MAX_ORDER", "lots")
-        code, _, _ = run(capsys, "series", "--family", "z", "--n", "0")
-        assert code == 2
+        for family in [["m0"], ["z", "--n", "2"], ["znp", "--n", "1", "--p", "2"], ["m", "--n", "1"]]:
+            code, out, err = run(
+                capsys, "series", "--family", *family, "--order", "256", "--format", "csv"
+            )
+            assert code == 0, err
+            assert out.splitlines()[-1].startswith("256,")
+        # the bijection suite, and so the rest of "all", reads no order
+        for suite in ["ode", "theorem3", "tables"]:
+            code, out, err = run(capsys, "verify", "--suite", suite, "--order", "256")
+            assert code == 0, err
+            assert all(r["pass"] for r in json.loads(out))
 
 
 class TestCountCommand:
@@ -467,6 +428,73 @@ class TestVerifyCommand:
         ]
         assert err == "FAIL m3-in-m1: at λ^2: 0 != 1\n"
 
+    def test_wrong_published_count_names_its_power(self, capsys, monkeypatch):
+        # m_2(3) is 165; a published 166 differs at λ^6, not at the order 12
+        tables = dict(nrooted.cli.M_TABLES)
+        tables[2] = (0, 1, 13, 166, 2273, 34577, 581133)
+        monkeypatch.setattr(nrooted.cli, "M_TABLES", tables)
+        code, out, err = run(capsys, "verify", "--suite", "tables")
+        assert code == 1
+        failed = [r for r in json.loads(out) if not r["pass"]]
+        assert failed == [
+            {
+                "identity": "m2-table",
+                "order_checked": 12,
+                "pass": False,
+                "first_failure_power": 6,
+            }
+        ]
+        assert err == "FAIL m2-table: at λ^6: 165 != 166\n"
+
+    def test_wrong_b_table_entry_is_named(self, capsys, monkeypatch):
+        # B[5][4] = B_{5,7} is 5·14/2 = 35; only the closed-form check reads
+        # the 12-row table, so only it fails, and with no λ-power
+        from nrooted.relations import BTable, b_table
+
+        def perturbed(n_max):
+            table = b_table(n_max)
+            if n_max != 12:
+                return table
+            rows = [list(row) for row in table.rows]
+            rows[5][4] = 99
+            return BTable(tuple(map(tuple, rows)))
+
+        monkeypatch.setattr(nrooted.cli, "b_table", perturbed)
+        code, out, err = run(capsys, "verify", "--suite", "theorem3")
+        assert code == 1
+        failed = [r for r in json.loads(out) if not r["pass"]]
+        assert failed == [
+            {
+                "identity": "b-closed-forms",
+                "order_checked": 12,
+                "pass": False,
+                "first_failure_power": None,
+            }
+        ]
+        assert err == "FAIL b-closed-forms: B[5][4]: 99 != 35\n"
+
+    def test_wrong_z1_shape_fails_alone(self, capsys, monkeypatch):
+        # 2·M₁ in place of M₁; the closures read the quotients in relations
+        from nrooted.relations import LaurentPoly, M1Polynomial
+
+        monkeypatch.setattr(
+            nrooted.cli,
+            "zj_over_z0_in_m1",
+            lambda j, order: M1Polynomial([LaurentPoly(), LaurentPoly.constant(2)]),
+        )
+        code, out, err = run(capsys, "verify", "--suite", "theorem3")
+        assert code == 1
+        failed = [r for r in json.loads(out) if not r["pass"]]
+        assert failed == [
+            {
+                "identity": "z1-over-z0-is-m1",
+                "order_checked": 12,
+                "pass": False,
+                "first_failure_power": None,
+            }
+        ]
+        assert err == "FAIL z1-over-z0-is-m1: Z₁/Z₀ should be exactly M₁\n"
+
 
 class TestConvertCommand:
     @pytest.mark.parametrize(
@@ -555,7 +583,23 @@ class TestConvertCommand:
         assert code == 2
 
 
+#: Every option string of each subcommand, as its --help prints them.
+OPTION_STRINGS = {
+    "series": ["--family", "--format", "--help", "--n", "--order", "--p", "-h"],
+    "count": ["--edges", "--help", "--method", "--n", "--threads", "-h"],
+    "verify": ["--help", "--order", "--suite", "--threads", "-h"],
+    "convert": ["--help", "--input", "--to", "-h"],
+}
+
+
 class TestDispatch:
+    @pytest.mark.parametrize("command", sorted(OPTION_STRINGS))
+    def test_option_strings_are_pinned(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        found = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", out))
+        assert sorted(found) == OPTION_STRINGS[command]
+
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2
         capsys.readouterr()

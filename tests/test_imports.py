@@ -1,5 +1,6 @@
-"""Every module-level import and private helper in the package is used, and
-only ``series.py`` touches the private storage of ``Series``.
+"""Every module-level import and private helper in the package is used,
+only ``series.py`` touches the private storage of ``Series``, and no module
+reads the environment.
 
 A stdlib stand-in for a linter.
 """
@@ -105,15 +106,23 @@ def test_scanner_reports_unreferenced_private_helpers():
     assert dead_private_helpers(sources) == ["a._dead", "a._Gone"]
 
 
-def storage_accesses(source: str, names: set[str]) -> list[str]:
-    """``line:name`` of each attribute access to, or string literal of, one
-    of ``names`` (a ``getattr(s, "_den")`` counts too)."""
+def name_uses(source: str, names: set[str]) -> list[str]:
+    """``line:name`` of each use of one of ``names``: an attribute, a bare or
+    imported name, or a string literal (a ``getattr(s, "_den")`` counts too)."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr in names:
-            found.append((node.lineno, node.attr))
-        elif isinstance(node, ast.Constant) and node.value in names:
-            found.append((node.lineno, node.value))
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Constant):
+            name = node.value
+        else:
+            continue
+        if name in names:
+            found.append((node.lineno, name))
     return [f"{line}:{name}" for line, name in sorted(found)]
 
 
@@ -127,7 +136,7 @@ def test_series_storage_names_are_private():
 
 @pytest.mark.parametrize("path", OUTSIDE_SERIES, ids=lambda p: p.name)
 def test_series_storage_stays_inside_series_module(path):
-    assert storage_accesses(path.read_text(encoding="utf-8"), SERIES_STORAGE) == []
+    assert name_uses(path.read_text(encoding="utf-8"), SERIES_STORAGE) == []
 
 
 def test_scanner_reports_storage_access():
@@ -138,4 +147,31 @@ def test_scanner_reports_storage_access():
         "    y = getattr(t, '_nums')\n"
         "    return x, y, u._coeffs, u.nums\n"
     )
-    assert storage_accesses(source, {"_nums", "_den"}) == ["2:_nums", "3:_den", "4:_nums"]
+    assert name_uses(source, {"_nums", "_den"}) == ["2:_nums", "3:_den", "4:_nums"]
+
+
+#: Every resource bound of the package is a constant, so no module reads the
+#: environment.
+ENVIRONMENT_READS = {"environ", "getenv"}
+
+
+def test_no_module_reads_the_environment():
+    uses = {
+        p.name: name_uses(p.read_text(encoding="utf-8"), ENVIRONMENT_READS)
+        for p in PACKAGE_DIR.glob("*.py")
+    }
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_scanner_reports_environment_reads():
+    source = (
+        "import os\n"
+        "from os import environ as env, getenv\n"
+        "a = os.environ.get('A')\n"
+        "b = os.getenv('B')\n"
+        "c = getattr(os, 'environ')\n"
+        "d = os.cpu_count(), env\n"
+    )
+    assert name_uses(source, ENVIRONMENT_READS) == [
+        "2:environ", "2:getenv", "3:environ", "4:getenv", "5:environ",
+    ]

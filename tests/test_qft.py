@@ -16,6 +16,7 @@ from nrooted.qft import (
     _closed_form_tables,
     _composition_table,
     _m0_coefficient,
+    _m1_from_tables,
     m0_series,
     m1_closed_form,
     m2_via_routes,
@@ -194,6 +195,23 @@ class TestMSeries:
         with pytest.raises(ValueError):
             m_series(0, 4)
 
+    @pytest.mark.parametrize(
+        "offset, shown", [(Fraction(1, 2), "5/2"), (-3, "-1")], ids=["fraction", "negative"]
+    )
+    def test_non_count_coefficient_is_a_consistency_error(self, monkeypatch, offset, shown):
+        # M_1 = Z_1/Z_0 = 1 + 2λ² + …; the offset moves its λ² coefficient
+        real = nrooted.qft._scaled_quotient
+        monkeypatch.setattr(
+            nrooted.qft,
+            "_scaled_quotient",
+            lambda j, order: real(j, order) + Series.monomial(offset, 2, order),
+        )
+        with pytest.raises(
+            ConsistencyError,
+            match=rf"m_series\(1\): coefficient of λ\^2 is {shown}, expected a non-negative",
+        ):
+            m_series(1, 4)
+
 
 class TestAgainstIntegerRoutes:
     """Routes that share no code with the Series kernels, at the orders they reach."""
@@ -286,6 +304,24 @@ class TestM1ClosedForm:
         assert MAX_CLOSED_FORM_EDGES == 128
         with pytest.raises(BoundExceededError, match="bound of 128"):
             m1_closed_form(129)
+
+    # S_1(e+1) enters both alternating sums with sign +1.
+    def test_indivisible_factorial_ratio_sum_is_a_consistency_error(self):
+        odd, ratio = _closed_form_tables(3)
+        ratio[1][4] += 1
+        with pytest.raises(
+            ConsistencyError,
+            match=r"m1_closed_form\(3\): factorial-ratio sum \d+ is not divisible by 2\^4",
+        ):
+            _m1_from_tables(3, odd, ratio)
+
+    def test_disagreeing_variants_are_a_consistency_error(self):
+        odd, ratio = _closed_form_tables(3)
+        odd[1][4] += 1
+        with pytest.raises(
+            ConsistencyError, match=r"m1_closed_form\(3\): variants disagree \(75 vs 74\)"
+        ):
+            _m1_from_tables(3, odd, ratio)
 
 
 class TestHigherRootRoutes:

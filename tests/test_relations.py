@@ -282,6 +282,21 @@ class TestHigherMomentsInFirstMoment:
         with pytest.raises(ValueError):
             mn_in_m1(0, 8)
 
+    def test_wrong_degree_is_a_consistency_error(self, monkeypatch):
+        # M_3/3! with its M₁³ term dropped has degree 2
+        real = nrooted.relations._mn_part
+        monkeypatch.setattr(
+            nrooted.relations,
+            "_mn_part",
+            lambda n, order: (
+                M1Polynomial(real(n, order).coefficients[:-1]) if n == 3 else real(n, order)
+            ),
+        )
+        with pytest.raises(
+            ConsistencyError, match=r"mn_in_m1\(3\): degree 2, expected exactly 3"
+        ):
+            mn_in_m1(3, 10)
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_cold_cache_equals_warmed_and_unresumed(self, n, clear_caches):
         cold = mn_in_m1(n, 32)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import nrooted.ribbon
 from nrooted.errors import BoundExceededError, ConsistencyError
 from nrooted.qft import m_count
 from nrooted.ribbon import (
@@ -258,6 +259,18 @@ class TestDivisionOracle:
     def test_bound_enforced(self):
         with pytest.raises(BoundExceededError):
             count_maps_by_division(1, 5)
+
+    def test_indivisible_labeled_total_is_a_consistency_error(self, monkeypatch):
+        # only the identity σ passes: 3 matchings × 4 root choices = 12 < 4!
+        monkeypatch.setattr(
+            nrooted.ribbon,
+            "_is_transitive",
+            lambda alpha, sigma, n: sigma == tuple(range(1, n + 1)),
+        )
+        with pytest.raises(
+            ConsistencyError, match=r"labeled-map total 12 is not divisible by \(2e\)! = 24"
+        ):
+            count_maps_by_division(1, 2)
 
 
 class TestGenusProfile:

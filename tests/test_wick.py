@@ -157,6 +157,14 @@ class TestLoopCount:
         with pytest.raises(ValueError):
             loop_count(Contraction(2, 0, (), (1, 2)))
 
+    def test_wrong_cycle_count_is_a_consistency_error(self, monkeypatch):
+        monkeypatch.setattr(nrooted.wick, "_components", lambda *args: (1, 2))
+        with pytest.raises(
+            ConsistencyError,
+            match=r"diagram has 2 independent cycles, expected e − N \+ 1 = 1",
+        ):
+            loop_count(LOOP_CONTRACTION)
+
 
 class TestToMap:
     def test_loop(self):
@@ -219,6 +227,15 @@ class TestCounting:
     def test_zero_external_rejected(self):
         with pytest.raises(ValueError):
             count_connected_classes(0, 1)
+
+    def test_indivisible_total_is_a_consistency_error(self, monkeypatch):
+        # one contraction per photon matching: 3 for e = 2, against 4! = 24
+        monkeypatch.setattr(nrooted.wick, "_count_for_matching", lambda args: 1)
+        with pytest.raises(
+            ConsistencyError,
+            match=r"aligned connected total 3 is not divisible by \(2e\)! = 24",
+        ):
+            count_connected_classes(1, 2)
 
     @pytest.mark.parametrize(
         "cpus,pool_sizes",
