@@ -17,15 +17,14 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 from .errors import ConsistencyError
 from .qft import m0_series, m1_closed_form, m_count, m_series, z_np_series, z_series
 from .relations import (
-    LaurentPoly,
     M1Polynomial,
     VerificationReport,
+    _mn_table,
     b_table,
     mn_in_m1,
     r_series,
@@ -221,17 +220,25 @@ def _suite_ode(order: int) -> list[VerificationReport]:
 
 
 def _m1_identity_report(n: int, order: int) -> VerificationReport:
-    lhs = Series.monomial(factorial(n), 2 * n - 2, order) * m_series(n, order)
-    row = M1_IDENTITIES[n]
-    coeffs = [LaurentPoly()] * (max(mpow for _, _, mpow in row) + 1)
-    for coeff, lam, mpow in row:
-        coeffs[mpow] = coeffs[mpow] + LaurentPoly.monomial(coeff, lam)
-    rhs = M1Polynomial(coeffs).evaluate(m_series(1, order), order)
-    return report_from_difference(f"m{n}-in-m1", lhs, rhs)
+    """N!·λ^{2N−2}·M_N as built against its published row; a failure names the
+    first differing monomial, by λ-power and then M₁-power."""
+    shift = 2 * n - 2
+    built = {
+        (p + shift, i): c
+        for i, laurent in enumerate((_mn_table(n) * factorial(n)).coefficients)
+        for p, c in laurent.items()
+    }
+    published = {(lam, mpow): coeff for coeff, lam, mpow in M1_IDENTITIES[n]}
+    for lam, mpow in sorted(built.keys() | published.keys()):
+        got, want = built.get((lam, mpow), 0), published.get((lam, mpow), 0)
+        if got != want:
+            detail = f"at λ^{lam}·M₁^{mpow}: {got} != {want}"
+            return VerificationReport(f"m{n}-in-m1", order, False, lam, detail=detail)
+    return VerificationReport(f"m{n}-in-m1", order, True, None)
 
 
 def _suite_theorem3(order: int) -> list[VerificationReport]:
-    if order < 8:  # the m5-in-m1 identity multiplies M_5 by 5!·λ^8
+    if order < 8:  # the published M₁ identities reach λ^8 (N = 5)
         raise ValueError("theorem3 needs order at least 8")
     reports = [_b_closed_forms_report()]
     for n in range(1, 7):
@@ -239,13 +246,7 @@ def _suite_theorem3(order: int) -> list[VerificationReport]:
             _attempt(f"z0-derivative-basis-n{n}", order, lambda n=n: _check_oop(n, order))
         )
 
-    reports.append(
-        _attempt(
-            "z1-over-z0-is-m1",
-            order,
-            lambda: _check_z1_shape(order),
-        )
-    )
+    reports.append(_attempt("z1-over-z0-is-m1", order, lambda: _check_z1_shape(order)))
     for n in range(2, 6):
         reports.append(_m1_identity_report(n, order))
         reports.append(
@@ -289,9 +290,7 @@ def _check_oop(n: int, order: int) -> None:
 
 
 def _check_z1_shape(order: int) -> None:
-    poly = zj_over_z0_in_m1(1, order)
-    c0, c1 = poly.coefficient(0), poly.coefficient(1)
-    if poly.degree != 1 or not c0.is_zero or c1.items() != [(0, Fraction(1))]:
+    if zj_over_z0_in_m1(1, order) != M1Polynomial([[], [1]]):
         raise ConsistencyError("Z₁/Z₀ should be exactly M₁")
 
 
@@ -337,11 +336,8 @@ def _suite_bijection(threads: int) -> list[VerificationReport]:
         ok = set(fibers) == classes and all(
             v == factorial(2 * e) for v in fibers.values()
         )
-        reports.append(
-            VerificationReport(
-                f"fiber-size-n{n}-e{e}", 2 * e, ok, None if ok else 2 * e
-            )
-        )
+        failure = None if ok else 2 * e
+        reports.append(VerificationReport(f"fiber-size-n{n}-e{e}", 2 * e, ok, failure))
     return reports
 
 
@@ -353,10 +349,7 @@ def _cmd_verify(args) -> int:
         "tables": lambda: _suite_tables(order),
         "bijection": lambda: _suite_bijection(args.threads),
     }
-    if args.suite == "all":
-        selected = ["ode", "theorem3", "tables", "bijection"]
-    else:
-        selected = [args.suite]
+    selected = list(suites) if args.suite == "all" else [args.suite]
     reports: list[VerificationReport] = []
     for name in selected:
         reports.extend(suites[name]())
@@ -405,15 +398,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_series = sub.add_parser("series", help="print a generating-function series")
-    p_series.add_argument(
-        "--family", required=True, choices=["z", "znp", "m", "m0"]
-    )
+    p_series.add_argument("--family", required=True, choices=["z", "znp", "m", "m0"])
     p_series.add_argument("--n", type=int, default=None)
     p_series.add_argument("--p", type=int, default=None)
     p_series.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p_series.add_argument(
-        "--format", choices=["json", "csv", "text"], default="text"
-    )
+    p_series.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p_series.set_defaults(func=_cmd_series)
 
     p_count = sub.add_parser("count", help="count N-rooted maps with e edges")
@@ -437,12 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--threads", type=int, default=1)
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_convert = sub.add_parser(
-        "convert", help="convert between map JSON and contraction JSON"
-    )
-    p_convert.add_argument(
-        "--input", default="-", help="path to a JSON file, or - for stdin"
-    )
+    p_convert = sub.add_parser("convert", help="convert between map JSON and contraction JSON")
+    p_convert.add_argument("--input", default="-", help="path to a JSON file, or - for stdin")
     p_convert.add_argument("--to", required=True, choices=["map", "contraction"])
     p_convert.set_defaults(func=_cmd_convert)
     return parser

@@ -12,7 +12,9 @@ edges.  It is taken as a logarithm,
     M_N = N! · [t^N] log Σ_{j≥0} (Z_j/Z_0) t^j / (j!)²
 
 (see :func:`m_series`).  Everything here is exact rational arithmetic on
-:class:`Series`.
+:class:`Series`.  Each order-indexed family (Z_j, 1/Z_0, the scaled quotients,
+M_N, M_0) keeps one entry per index, at the widest order built so far, and
+serves every lower order by truncating it.
 
 Normalization note: ``m0_series`` is the logarithm of the *normalized* vacuum
 series (constant term 1), i.e. M0(0) = 0; the additive constant of the
@@ -25,8 +27,9 @@ a bug, not a value.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from functools import cache
+from functools import wraps
 from math import factorial
 
 from .combinat import double_factorial
@@ -52,7 +55,37 @@ __all__ = [
 MAX_CLOSED_FORM_EDGES = 128
 
 
-@cache
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+
+def _widest_order_cache(build):
+    """Cache ``build(*key, order)`` once per key, at the widest order built so far,
+    and serve a lower order by :meth:`Series.truncate`, which is exact; a higher
+    one is built and replaces the entry.  ``cache_info`` and ``cache_clear``
+    behave as on a ``functools`` cache."""
+    widest: dict[tuple, Series] = {}
+    counts = [0, 0]  # hits, misses
+
+    @wraps(build)
+    def cached(*args):
+        key, order = args[:-1], args[-1]
+        known = widest.get(key)
+        hit = known is not None and known.order >= order
+        counts[not hit] += 1
+        if not hit:
+            known = widest[key] = build(*args)
+        return known.truncate(order) if known.order > order else known
+
+    def cache_clear() -> None:
+        widest.clear()
+        counts[:] = [0, 0]
+
+    cached.cache_info = lambda: _CacheInfo(*counts, None, len(widest))
+    cached.cache_clear = cache_clear
+    return cached
+
+
+@_widest_order_cache
 def z_series(j: int, order: int) -> Series:
     """The 2j-point correlator expansion Σ_k (2k+j)!(2k-1)!!/(2k)! λ^{2k}."""
     if j < 0:
@@ -116,7 +149,7 @@ def z_recursion(n: int, order: int) -> Series:
     return ladder
 
 
-@cache
+@_widest_order_cache
 def m0_series(order: int) -> Series:
     """Connected vacuum series: log of the normalized Z_0 (so M0(0) = 0)."""
     return z_series(0, order).log()
@@ -150,19 +183,19 @@ def _m0_coefficient(odd: list[list[int]], e: int) -> Fraction:
     )
 
 
-@cache
+@_widest_order_cache
 def _z0_inverse(order: int) -> Series:
     """1/Z_0, shared by every quotient Z_j/Z_0 of one order."""
     return z_series(0, order).invert()
 
 
-@cache
+@_widest_order_cache
 def _scaled_quotient(j: int, order: int) -> Series:
     """(Z_j/Z_0)/(j!)², the j-th term of the series whose logarithm is taken."""
     return z_series(j, order) * _z0_inverse(order) * Fraction(1, factorial(j) ** 2)
 
 
-@cache
+@_widest_order_cache
 def m_series(n: int, order: int) -> Series:
     """Generating function of N-rooted map counts by edge count.
 

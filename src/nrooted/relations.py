@@ -8,9 +8,10 @@ This module machine-checks the algebraic layer of the enumeration:
 * the double-factorial series R_i(λ) = Σ_k (2k+i)!! λ^{2k} and their
   re-expressions through Z_0;
 * each quotient Z_j/Z_0 — and then every M_N — written as a polynomial in M₁
-  whose coefficients are finite Laurent polynomials in λ (negative powers
-  appear in intermediate terms and must cancel after substituting the M₁
-  series; the cancellation is asserted, never assumed);
+  whose coefficients are finite Laurent polynomials in λ, built once per
+  process whatever the order (negative powers appear in intermediate terms
+  and must cancel after substituting the M₁ series; the cancellation is
+  asserted at each requested order, never assumed);
 * residual checks for the ordinary differential equations satisfied by M₁,
   M₀ and the normalized Z₀.
 
@@ -23,18 +24,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
+from typing import Sequence
 
 from .combinat import double_factorial
 from .errors import ConsistencyError
-from .qft import _z0_inverse, m_series, z_series
-from .series import Rational, Series, _require_equal, first_difference, log_coefficients
+from .qft import _z0_inverse, m0_series, m_series, z_series
+from .series import (
+    Series,
+    _as_fraction,
+    _require_equal,
+    first_difference,
+    horner,
+    log_coefficients,
+)
 
 __all__ = [
     "BTable",
     "b_table",
     "r_series",
-    "LaurentPoly",
     "M1Polynomial",
     "zj_over_z0_in_m1",
     "mn_in_m1",
@@ -109,17 +117,6 @@ def b_table(n_max: int) -> BTable:
 # ---------------------------------------------------------------------------
 
 
-def _shift_down(coeffs: list[Fraction], m: int, context: str) -> list[Fraction]:
-    """Divide a coefficient vector by λ^m, asserting that no negative power is left."""
-    for p in range(min(m, len(coeffs))):
-        if coeffs[p] != 0:
-            raise ConsistencyError(
-                f"{context}: negative power λ^{p - m} fails to cancel "
-                f"(coefficient {coeffs[p]})"
-            )
-    return coeffs[m:]
-
-
 def r_series(i: int, order: int) -> Series:
     """R_i(λ) = Σ_k (2k+i)!! λ^{2k} for odd i >= -1, cross-checked through Z_0.
 
@@ -133,171 +130,126 @@ def r_series(i: int, order: int) -> Series:
     if order < 0:
         raise ValueError("order must be non-negative")
 
-    direct = Series(
-        [
-            double_factorial(p + i) if p % 2 == 0 else 0
-            for p in range(order + 1)
-        ]
-    )
+    direct = Series([double_factorial(p + i) if p % 2 == 0 else 0 for p in range(order + 1)])
 
     if i == -1:
         alt = z_series(0, order)
     else:
         shift = i + 1
+        # 1 + Σ_m (2m+1)!! λ^{2m+2}, the part of Z_0 below λ^{i+1}
+        head = [1] + [0] * i
+        for m in range((i - 1) // 2):
+            head[2 * m + 2] = double_factorial(2 * m + 1)
         z0 = z_series(0, order + shift)
-        window = list(z0.coefficients)
-        window[0] -= 1  # Z_0 - 1
-        if i >= 3:
-            for m in range((i - 3) // 2 + 1):
-                # subtract (2m+1)!! λ^{2m+2} / λ^{i+1}, i.e. at window index 2m+2
-                window[2 * m + 2] -= double_factorial(2 * m + 1)
-        alt = Series(_shift_down(window, shift, f"r_series({i})"))
+        alt = (z0 - Series(head, order=z0.order)).unshifted(shift, f"r_series({i})")
 
     _require_equal(f"r_series({i}): direct sum and Z_0 route differ", direct, alt)
     return direct
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials and polynomials in M1
+# Polynomials in M1
 # ---------------------------------------------------------------------------
 
 
-class LaurentPoly:
-    """A finite Laurent polynomial in λ with exact rational coefficients."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict[int, Rational] | None = None):
-        cleaned: dict[int, Fraction] = {}
-        for power, coeff in (terms or {}).items():
-            frac = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            if frac != 0:
-                cleaned[power] = frac
-        self._terms = cleaned
-
-    @classmethod
-    def monomial(cls, coeff: Rational, power: int) -> "LaurentPoly":
-        return cls({power: coeff})
-
-    @classmethod
-    def constant(cls, coeff: Rational) -> "LaurentPoly":
-        return cls({0: coeff})
-
-    def items(self) -> list[tuple[int, Fraction]]:
-        return sorted(self._terms.items())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
-    def min_power(self) -> int:
-        return min(self._terms) if self._terms else 0
-
-    @property
-    def max_power(self) -> int:
-        return max(self._terms) if self._terms else 0
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self._terms)
-        for p, c in other._terms.items():
-            out[p] = out.get(p, Fraction(0)) + c
-        return LaurentPoly(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({p: -c for p, c in self._terms.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            out: dict[int, Fraction] = {}
-            for p, c in self._terms.items():
-                for q, d in other._terms.items():
-                    key = p + q
-                    out[key] = out.get(key, Fraction(0)) + c * d
-            return LaurentPoly(out)
-        return LaurentPoly(
-            {p: c * Fraction(other) for p, c in self._terms.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self):
-        if not self._terms:
-            return "0"
-        bits = [f"{c}*λ^{p}" if p else str(c) for p, c in self.items()]
-        return " + ".join(bits)
-
-
 class M1Polynomial:
-    """Σ_i c_i(λ) · M₁^i with finite Laurent-polynomial coefficients c_i.
+    """Σ_i c_i(λ) · M₁^i, each c_i a finite Laurent polynomial in λ.
 
-    The Laurent coefficients may carry negative λ-powers individually; only
-    after substituting the M₁ power series must everything collapse to an
-    honest power series.  :meth:`evaluate` performs that substitution and
-    asserts the cancellation.
+    Stored as :class:`~nrooted.series.Series` stores a series: an ``int``
+    table over one positive denominator, in lowest terms.  Row i holds the
+    numerators of c_i at λ^low, λ^{low+1}, …; the rows share one width, with
+    no all-zero edge column and no trailing all-zero row (the zero polynomial
+    is one empty row).  ``coefficients`` reads each c_i back in Laurent form.
+
+    The c_i may carry negative λ-powers individually; only after substituting
+    the M₁ power series must everything collapse to an honest power series.
+    :meth:`evaluate` performs that substitution and asserts the cancellation.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_table", "_low", "_denominator")
 
-    def __init__(self, coeffs: list[LaurentPoly] | tuple[LaurentPoly, ...]):
-        cs = list(coeffs) or [LaurentPoly()]
-        while len(cs) > 1 and cs[-1].is_zero:
-            cs.pop()
-        self._coeffs = tuple(cs)
+    def __init__(self, table: Sequence[Sequence[int]], low: int = 0, denominator: int = 1):
+        """Row i of ``table`` lists the numerators of c_i from λ^low upwards."""
+        if any(type(v) is not int for v in [low, denominator, *(v for r in table for v in r)]):
+            raise TypeError("M1Polynomial entries, low and denominator must be int")
+        if denominator <= 0:
+            raise ValueError("denominator must be positive")
+        width = max((len(row) for row in table), default=0)
+        rows = [list(row) + [0] * (width - len(row)) for row in table] or [[]]
+        while len(rows) > 1 and not any(rows[-1]):
+            rows.pop()
+        used = [k for k, column in enumerate(zip(*rows)) if any(column)]
+        if not used:
+            rows, low, denominator = [[]], 0, 1
+        else:
+            g = gcd(denominator, *(v for row in rows for v in row))
+            rows = [[v // g for v in row[used[0] : used[-1] + 1]] for row in rows]
+            low, denominator = low + used[0], denominator // g
+        self._table = tuple(tuple(row) for row in rows)
+        self._low = low
+        self._denominator = denominator
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._table) - 1
 
     @property
-    def coefficients(self) -> tuple[LaurentPoly, ...]:
-        return self._coeffs
-
-    def coefficient(self, i: int) -> LaurentPoly:
-        return self._coeffs[i] if 0 <= i < len(self._coeffs) else LaurentPoly()
-
-    def __add__(self, other: "M1Polynomial") -> "M1Polynomial":
-        size = max(len(self._coeffs), len(other._coeffs))
-        return M1Polynomial(
-            [self.coefficient(i) + other.coefficient(i) for i in range(size)]
+    def coefficients(self) -> tuple[dict[int, Fraction], ...]:
+        """Each c_i as {λ-power: coefficient}, non-zero terms by rising power."""
+        return tuple(
+            {self._low + k: Fraction(v, self._denominator) for k, v in enumerate(row) if v}
+            for row in self._table
         )
 
+    def min_lambda_power(self) -> int:
+        """The lowest λ-power with a non-zero coefficient; 0 for the zero polynomial."""
+        return self._low
+
+    def __add__(self, other: "M1Polynomial") -> "M1Polynomial":
+        if not isinstance(other, M1Polynomial):
+            return NotImplemented
+        operands = (self, other)
+        low = min(p._low for p in operands)
+        top = max(p._low + len(p._table[0]) for p in operands)
+        den = lcm(self._denominator, other._denominator)
+        rows = [[0] * (top - low) for _ in range(max(len(p._table) for p in operands))]
+        for p in operands:
+            scale, offset = den // p._denominator, p._low - low
+            for target, row in zip(rows, p._table):
+                for k, v in enumerate(row):
+                    target[offset + k] += scale * v
+        return M1Polynomial(rows, low, den)
+
     def __mul__(self, other):
-        if isinstance(other, M1Polynomial):
-            out = [LaurentPoly() for _ in range(len(self._coeffs) + len(other._coeffs) - 1)]
-            for i, ci in enumerate(self._coeffs):
-                if ci.is_zero:
-                    continue
-                for j, cj in enumerate(other._coeffs):
-                    if not cj.is_zero:
-                        out[i + j] = out[i + j] + ci * cj
-            return M1Polynomial(out)
-        return M1Polynomial([c * other for c in self._coeffs])
+        if not isinstance(other, M1Polynomial):
+            try:
+                c = _as_fraction(other)
+            except TypeError:
+                return NotImplemented
+            rows = [[c.numerator * v for v in row] for row in self._table]
+            return M1Polynomial(rows, self._low, c.denominator * self._denominator)
+        width = len(self._table[0]) + len(other._table[0]) - 1
+        rows = [[0] * max(width, 0) for _ in range(len(self._table) + len(other._table) - 1)]
+        for i, a in enumerate(self._table):
+            for j, b in enumerate(other._table):
+                target = rows[i + j]
+                for k, a_k in enumerate(a):
+                    if a_k:
+                        for m, b_m in enumerate(b):
+                            target[k + m] += a_k * b_m
+        return M1Polynomial(
+            rows, self._low + other._low, self._denominator * other._denominator
+        )
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, M1Polynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def __repr__(self):
-        bits = [f"({c})*M1^{i}" if i else f"({c})" for i, c in enumerate(self._coeffs)]
-        return " + ".join(bits)
-
-    def min_lambda_power(self) -> int:
-        return min((c.min_power for c in self._coeffs if not c.is_zero), default=0)
+        return f"M1Polynomial({self._table}, low={self._low}, denominator={self._denominator})"
 
     def evaluate(self, m1: Series, order: int) -> Series:
         """Substitute a truncated M₁ series, demanding a clean power series.
@@ -307,38 +259,40 @@ class M1Polynomial:
         consumed by the division.  Horner's rule runs on λ^s times the
         polynomial; non-cancelling negative powers raise :class:`ConsistencyError`.
         """
-        shift = max(0, -self.min_lambda_power())
-        top = order + shift
-        if m1.order < top:
-            raise ValueError(
-                f"need the substitution series to order {top}, got {m1.order}"
-            )
-
-        def lifted(laurent: LaurentPoly) -> Series:  # λ^shift · laurent, to order top
-            return Series([laurent._terms.get(p - shift, 0) for p in range(top + 1)])
-
-        acc = lifted(self._coeffs[-1])
-        for laurent in reversed(self._coeffs[:-1]):
-            acc = acc * m1 + lifted(laurent)
-        return Series(_shift_down(list(acc.coefficients), shift, "M₁ substitution"))
+        shift = max(0, -self._low)
+        lifted = [[0] * (self._low + shift) + list(row) for row in self._table]
+        return horner(lifted, self._denominator, m1, order + shift).unshifted(
+            shift, "M₁ substitution"
+        )
 
 
-def _ratio_bracket(k: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """The (constant, M₁) Laurent coefficients of the k-th bracket term.
+@cache
+def _zj_table(j: int) -> M1Polynomial:
+    """Z_j/Z_0 as a degree-<=1 polynomial in M₁, whatever the order.
 
-    bracket(k) = δ_{k,0} + [k>=1] M₁ λ^{-(2k-2)}
-                 - [k>=2] (1 - λ² M₁) Σ_{m=0}^{k-2} (2m+1)!! λ^{-(2k-2m-2)}
+    Z_j/Z_0 = Σ_{n≤j} Σ_{k≤n} (−1)^{n−k}·j!·C(j,n)/n!·B_{n,2k−1}·bracket(k), with
+
+        bracket(k) = δ_{k,0} + [k>=1] M₁ λ^{-(2k-2)}
+                     - [k>=2] (1 - λ² M₁) Σ_{m=0}^{k-2} (2m+1)!! λ^{-(2k-2m-2)}.
+
+    Every weight is an integer, so the table is over denominator 1.
     """
-    const = LaurentPoly.constant(1) if k == 0 else LaurentPoly()
-    linear = LaurentPoly()
-    if k >= 1:
-        linear = linear + LaurentPoly.monomial(1, -(2 * k - 2))
-    if k >= 2:
-        for m in range(k - 1):
-            dfac = double_factorial(2 * m + 1)
-            const = const - LaurentPoly.monomial(dfac, -(2 * k - 2 * m - 2))
-            linear = linear + LaurentPoly.monomial(dfac, -(2 * k - 2 * m - 4))
-    return const, linear
+    table = b_table(max(j, 1))
+    low = min(0, 2 - 2 * j)
+    const, linear = [0] * (1 - low), [0] * (1 - low)  # λ^low .. λ^0
+    for n in range(j + 1):
+        outer = comb(j, n) * factorial(j) // factorial(n)
+        for k in range(n + 1):
+            weight = (-1) ** (n - k) * outer * table.value(n, k)
+            if k == 0:
+                const[-low] += weight
+            else:
+                linear[2 - 2 * k - low] += weight
+            for m in range(k - 1):
+                term = weight * double_factorial(2 * m + 1)
+                const[2 * m + 2 - 2 * k - low] -= term
+                linear[2 * m + 4 - 2 * k - low] += term
+    return M1Polynomial([const, linear], low)
 
 
 def _require_substitution(context: str, poly: M1Polynomial, expected: Series) -> None:
@@ -349,72 +303,64 @@ def _require_substitution(context: str, poly: M1Polynomial, expected: Series) ->
 
 
 @cache
+def _zj_checked(j: int, order: int) -> None:
+    _require_substitution(
+        f"zj_over_z0_in_m1({j}): substitution and direct division differ",
+        _zj_table(j),
+        z_series(j, order) * _z0_inverse(order),
+    )
+
+
 def zj_over_z0_in_m1(j: int, order: int) -> M1Polynomial:
     """The quotient Z_j/Z_0 as a degree-<=1 polynomial in M₁.
 
-    Assembled from the B-table against the bracket terms; validated by
-    substituting the M₁ series and comparing with the direct series division
-    to the requested order, once per (j, order).
+    Assembled from the B-table against the bracket terms once per j, whatever
+    the order; validated by substituting the M₁ series and comparing with the
+    direct series division to the requested order, once per (j, order).
     """
     if j < 0:
         raise ValueError("j must be non-negative")
     if order < 0:
         raise ValueError("order must be non-negative")
-    table = b_table(max(j, 1))
-    poly = M1Polynomial([LaurentPoly()])
-    for n in range(j + 1):
-        outer = Fraction(comb(j, n) * factorial(j), factorial(n))
-        for k in range(n + 1):
-            if n == 0 and k > 0:
-                continue
-            sign = (-1) ** (n - k)
-            weight = outer * sign * table.value(n, k)
-            const, linear = _ratio_bracket(k)
-            poly = poly + M1Polynomial([const * weight, linear * weight])
+    _zj_checked(j, order)
+    return _zj_table(j)
 
+
+@cache
+def _mn_table(n: int) -> M1Polynomial:
+    """M_N, whatever the order, resumed from the lower M_i/i!; unchecked, so
+    that a failed check of one :func:`mn_in_m1` does not fail those above it."""
+    known = [_mn_table(i) * Fraction(1, factorial(i)) for i in range(1, n)]
+    scaled = [_zj_table(j) * Fraction(1, factorial(j) ** 2) for j in range(1, n + 1)]
+    return log_coefficients(scaled, known)[-1] * factorial(n)
+
+
+@cache
+def _mn_checked(n: int, order: int) -> None:
     _require_substitution(
-        f"zj_over_z0_in_m1({j}): substitution and direct division differ",
-        poly,
-        z_series(j, order) * _z0_inverse(order),
+        f"mn_in_m1({n}): substitution and the direct series differ",
+        _mn_table(n),
+        m_series(n, order),
     )
-    return poly
 
 
-@cache
-def _mn_part(n: int, order: int) -> M1Polynomial:
-    """M_N/N! resumed from the lower parts; unchecked, so that a failed
-    check of one :func:`mn_in_m1` does not fail those above it."""
-    known = [_mn_part(i, order) for i in range(1, n)]
-    scaled = [
-        zj_over_z0_in_m1(j, order) * Fraction(1, factorial(j) ** 2)
-        for j in range(1, n + 1)
-    ]
-    return log_coefficients(scaled, known)[-1]
-
-
-@cache
 def mn_in_m1(n: int, order: int) -> M1Polynomial:
     """M_N as a polynomial of degree exactly N in M₁.
 
     Takes the same logarithm as :func:`~nrooted.qft.m_series`,
     M_N = N! · [t^N] log(1 + Σ_j (Z_j/Z_0) t^j/(j!)²), over the degree-1
-    quotient polynomials instead of series, resumed from the lower M_i/i!;
-    validated by degree check and by substituting the M₁ series against
-    m_series(N), once per (n, order).
+    quotient polynomials instead of series, resumed from the lower M_i/i!,
+    once per N whatever the order; validated by degree check and by
+    substituting the M₁ series against m_series(N), once per (n, order).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    total = _mn_part(n, order) * factorial(n)
-
+    total = _mn_table(n)
     if total.degree != n:
         raise ConsistencyError(
             f"mn_in_m1({n}): degree {total.degree}, expected exactly {n}"
         )
-    _require_substitution(
-        f"mn_in_m1({n}): substitution and the direct series differ",
-        total,
-        m_series(n, order),
-    )
+    _mn_checked(n, order)
     return total
 
 
@@ -478,8 +424,6 @@ def verify_ode_m0(order: int, m0: Series | None = None) -> VerificationReport:
     if order < 4:
         raise ValueError("order must be at least 4")
     if m0 is None:
-        from .qft import m0_series
-
         m0 = m0_series(order)
     d1 = m0.derivative()
     d2 = d1.derivative()

@@ -40,7 +40,7 @@ from .errors import ConsistencyError
 Rational = Union[int, Fraction]
 T = TypeVar("T")
 
-__all__ = ["Series", "Rational", "log_coefficients", "first_difference"]
+__all__ = ["Series", "Rational", "log_coefficients", "first_difference", "horner"]
 
 
 def log_coefficients(u: Sequence[T], known: Sequence[T] = ()) -> list[T]:
@@ -90,6 +90,33 @@ def _as_fraction(value: Rational) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"exact rational required, got {type(value).__name__}")
+
+
+def _product(a: Sequence[int], b: Sequence[int], k: int) -> list[int]:
+    """The integer convolution of a and b through index k, skipping zero factors."""
+    nonzero_b = [(j, b_j) for j, b_j in enumerate(b[: k + 1]) if b_j]
+    out = [0] * (k + 1)
+    for i, a_i in enumerate(a[: k + 1]):
+        if a_i:
+            for j, b_j in nonzero_b:
+                if i + j > k:
+                    break
+                out[i + j] += a_i * b_j
+    return out
+
+
+def horner(rows: Sequence[Sequence[int]], den: int, x: "Series", order: int) -> "Series":
+    """Σ_i (rows[i]/den)·x^i to ``order`` for integer coefficient rows (missing
+    ones are zero), by Horner's rule on integers: with x = X/d it keeps
+    Σ_i rows[i]·X^i·d^{deg−i} and divides by den·d^deg once."""
+    if x.order < order:
+        raise ValueError(f"need the substitution series to order {order}, got {x.order}")
+    rows = [list(row[: order + 1]) + [0] * (order + 1 - len(row)) for row in rows]
+    acc, scale = rows[-1], 1
+    for row in reversed(rows[:-1]):
+        scale *= x._den
+        acc = [p + scale * r for p, r in zip(_product(acc, x._nums, order), row)]
+    return Series._reduced(acc, den * scale)
 
 
 def _divided_recurrence(c: list[int], g0: int, divisor) -> list[int]:
@@ -198,6 +225,19 @@ class Series:
             raise ValueError("shift must be non-negative")
         return Series._reduced((0,) * powers + self._nums, self._den)
 
+    def unshifted(self, powers: int, context: str) -> "Series":
+        """Divide by x^powers (0 <= powers <= order); a non-zero dropped coefficient
+        raises :class:`ConsistencyError`, prefixed by ``context``."""
+        if not 0 <= powers <= self.order:
+            raise ValueError(f"shift must lie in 0..{self.order}")
+        for p, n in enumerate(self._nums[:powers]):
+            if n:
+                raise ConsistencyError(
+                    f"{context}: negative power λ^{p - powers} fails to cancel "
+                    f"(coefficient {Fraction(n, self._den)})"
+                )
+        return Series._reduced(self._nums[powers:], self._den)
+
     # -- ring operations ---------------------------------------------------
 
     def _plus(self, other, sign: int):
@@ -232,15 +272,7 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             k = min(self.order, other.order)
-            nonzero_b = [(j, b_j) for j, b_j in enumerate(other._nums[: k + 1]) if b_j]
-            out = [0] * (k + 1)
-            for i, a_i in enumerate(self._nums[: k + 1]):
-                if a_i:
-                    for j, b_j in nonzero_b:
-                        if i + j > k:
-                            break
-                        out[i + j] += a_i * b_j
-            return Series._reduced(out, self._den * other._den)
+            return Series._reduced(_product(self._nums, other._nums, k), self._den * other._den)
         try:
             c = _as_fraction(other)
         except TypeError:
@@ -250,7 +282,7 @@ class Series:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:  # a bool is not an exponent
             raise ValueError("series exponent must be a non-negative integer")
         result = Series.one(self.order)
         for _ in range(exponent):

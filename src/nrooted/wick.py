@@ -332,8 +332,8 @@ def count_connected_classes(n_external: int, edges: int, workers: int = 1) -> in
     Counts aligned connected contractions and divides by (2e)!; the quotient
     is exact because vertex relabelings act freely on them.  ``workers > 1``
     splits the stream by photon matching across processes, never more than
-    there are matchings or CPUs; the result is independent of the worker
-    count.
+    there are matchings or CPUs in the process's affinity mask; the result is
+    independent of the worker count.
     """
     _check_bounds(n_external, edges)
     if n_external < 1:
@@ -347,7 +347,9 @@ def count_connected_classes(n_external: int, edges: int, workers: int = 1) -> in
     tasks = [
         (n_external, n, matching) for matching in fixed_point_free_involutions(n)
     ]
-    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    # the CPUs this process may run on: its affinity mask where the OS has one
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    processes = min(workers, len(tasks), cpus or 1)
     if processes > 1:
         import multiprocessing
 

@@ -1,9 +1,9 @@
 """Shared fixtures: every test starts with cold generating-function caches.
 
-The ``functools`` caches in the package (``m_series``, ``mn_in_m1``,
-``zj_over_z0_in_m1`` and the private ones behind them) would otherwise carry
-results from one test into the next, so a test that monkeypatches a function
-could read a value computed before its patch.
+The caches in the package (the widest-order series caches of ``qft``, the
+order-free M₁ polynomials of ``relations`` and their per-order checks) would
+otherwise carry results from one test into the next, so a test that
+monkeypatches a function could read a value computed before its patch.
 """
 
 import importlib
@@ -20,7 +20,7 @@ MODULES = [
 
 
 def package_caches() -> list:
-    """Every ``functools`` cache bound at module level in the package."""
+    """Every cache bound at module level in the package (anything with ``cache_clear``)."""
     found = {}
     for module in [nrooted, *MODULES]:
         for obj in vars(module).values():

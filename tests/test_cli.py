@@ -410,8 +410,7 @@ class TestVerifyCommand:
         assert "at λ^4: 6 != 7" in err
 
     def test_wrong_table_identity_fails_alone(self, capsys, monkeypatch):
-        # 7·λ²·M₁ becomes 8·λ²·M₁ in the N = 3 row; the extra λ²·M₁ first
-        # shows at λ², where 3!·λ⁴·M₃ has 0
+        # 7·λ²·M₁ becomes 8·λ²·M₁ in the N = 3 row; the built table has 7 there
         table = {n: list(row) for n, row in nrooted.cli.M1_IDENTITIES.items()}
         table[3] = [(8, 2, 1) if term == (7, 2, 1) else term for term in table[3]]
         monkeypatch.setattr(nrooted.cli, "M1_IDENTITIES", table)
@@ -426,7 +425,39 @@ class TestVerifyCommand:
                 "first_failure_power": 2,
             }
         ]
-        assert err == "FAIL m3-in-m1: at λ^2: 0 != 1\n"
+        assert err == "FAIL m3-in-m1: at λ^2·M₁^1: 7 != 8\n"
+
+    @pytest.mark.parametrize(
+        "perturb,first",
+        [
+            # a dropped top term and a changed constant: the lower λ-power comes first
+            (lambda row: [(-94, 2, 0) if t == (-93, 2, 0) else t for t in row[:-1]],
+             "at λ^2·M₁^0: -93 != -94"),
+            # at one λ-power, the lower M₁-power comes first
+            (lambda row: [(c + 1, lam, m) if lam == 4 and m >= 2 else (c, lam, m)
+                          for c, lam, m in row], "at λ^4·M₁^2: -1875 != -1874"),
+            (lambda row: row + [(5, 10, 0)], "at λ^10·M₁^0: 0 != 5"),
+        ],
+    )
+    def test_perturbed_row_names_the_first_differing_monomial(
+        self, capsys, monkeypatch, perturb, first
+    ):
+        table = dict(nrooted.cli.M1_IDENTITIES)
+        table[5] = perturb(table[5])
+        monkeypatch.setattr(nrooted.cli, "M1_IDENTITIES", table)
+        code, out, err = run(capsys, "verify", "--suite", "theorem3", "--order", "16")
+        assert code == 1
+        failed = [r for r in json.loads(out) if not r["pass"]]
+        power = int(first.split("λ^")[1].split("·")[0])
+        assert failed == [
+            {
+                "identity": "m5-in-m1",
+                "order_checked": 16,
+                "pass": False,
+                "first_failure_power": power,
+            }
+        ]
+        assert err == f"FAIL m5-in-m1: {first}\n"
 
     def test_wrong_published_count_names_its_power(self, capsys, monkeypatch):
         # m_2(3) is 165; a published 166 differs at λ^6, not at the order 12
@@ -475,12 +506,12 @@ class TestVerifyCommand:
 
     def test_wrong_z1_shape_fails_alone(self, capsys, monkeypatch):
         # 2·M₁ in place of M₁; the closures read the quotients in relations
-        from nrooted.relations import LaurentPoly, M1Polynomial
+        from nrooted.relations import M1Polynomial
 
         monkeypatch.setattr(
             nrooted.cli,
             "zj_over_z0_in_m1",
-            lambda j, order: M1Polynomial([LaurentPoly(), LaurentPoly.constant(2)]),
+            lambda j, order: M1Polynomial([[], [2]]),
         )
         code, out, err = run(capsys, "verify", "--suite", "theorem3")
         assert code == 1

@@ -401,3 +401,81 @@ class TestResumedLogarithm:
         # the known prefix is used, not recomputed: a wrong L_1 shows in L_2
         wrong = log_coefficients(u, [full[0] + 1])
         assert wrong[0] == full[0] + 1 and wrong[1] != full[1]
+
+
+def clear_qft_caches():
+    for name in ("z_series", "_z0_inverse", "_scaled_quotient", "m_series", "m0_series"):
+        getattr(nrooted.qft, name).cache_clear()
+
+
+FAMILIES = {
+    "m_series": lambda index, order: m_series(index, order),
+    "z_series": lambda index, order: z_series(index - 1, order),
+    "m0_series": lambda index, order: m0_series(order),
+}
+
+
+class TestWidestOrderCache:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(sorted(FAMILIES)),
+        st.integers(1, 4),
+        st.lists(st.integers(0, 40), min_size=2, max_size=4),
+    )
+    def test_truncation_equals_a_cold_build(self, family, index, orders):
+        # the orders come low before high, high before low, and repeated
+        call = FAMILIES[family]
+        clear_qft_caches()
+        served = [call(index, order) for order in orders]
+        for order, series in zip(orders, served):
+            clear_qft_caches()
+            assert series == call(index, order)
+            assert series.order == order
+
+    @pytest.mark.parametrize("orders", [(8, 30), (30, 8)])
+    def test_both_call_orders_match_cold_builds(self, orders):
+        cold = {}
+        for order in orders:
+            clear_qft_caches()
+            cold[order] = (m_series(3, order), z_series(2, order), m0_series(order))
+        clear_qft_caches()
+        for order in orders:
+            assert (m_series(3, order), z_series(2, order), m0_series(order)) == cold[order]
+
+    def test_a_lower_order_is_a_hit_and_builds_nothing(self, monkeypatch):
+        m_series(2, 64)
+        before = m_series.cache_info()
+        inverts = []
+        real_invert = Series.invert
+        monkeypatch.setattr(Series, "invert", lambda s: inverts.append(s) or real_invert(s))
+        assert m_series(2, 10) == m_series(2, 64).truncate(10)
+        assert inverts == []
+        after = m_series.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+        assert after.currsize == 2  # one widest entry per n
+
+    def test_a_higher_order_replaces_the_entry(self):
+        m_series(1, 10)
+        wide = m_series(1, 40)
+        assert m_series(1, 40) is wide
+        assert m_series.cache_info().currsize == 1
+
+    def test_cache_clear_makes_the_next_call_cold(self, monkeypatch):
+        z_series(0, 20)
+        m0_series(20)
+        for cached in (z_series, m0_series):
+            cached.cache_clear()
+            assert cached.cache_info() == (0, 0, None, 0)
+        builds = []
+        real_log = Series.log
+        monkeypatch.setattr(Series, "log", lambda s: builds.append(s.order) or real_log(s))
+        m0_series(12)
+        assert builds == [12]
+        assert m0_series.cache_info().misses == 1 and z_series.cache_info().misses == 1
+
+    def test_a_negative_order_is_still_rejected(self):
+        m_series(1, 10)
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            m_series(1, -1)
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            z_series(0, -1)

@@ -9,7 +9,6 @@ import nrooted.relations
 from nrooted.errors import ConsistencyError
 from nrooted.qft import m0_series, m_series, z_series
 from nrooted.relations import (
-    LaurentPoly,
     M1Polynomial,
     VerificationReport,
     b_table,
@@ -22,6 +21,7 @@ from nrooted.relations import (
     zj_over_z0_in_m1,
 )
 from nrooted.series import Series, log_coefficients
+from nrooted.tables import M1_IDENTITIES
 
 
 def odd_double_factorial(m: int) -> int:
@@ -157,41 +157,70 @@ class TestFirstMomentIdentities:
         assert lhs == rhs
 
 
-class TestLaurentPoly:
-    def test_monomial_and_items(self):
-        p = LaurentPoly.monomial(Fraction(3, 2), -2)
-        assert p.items() == [(-2, Fraction(3, 2))]
-        assert p.min_power == -2 and p.max_power == -2
-
-    def test_zero_coefficients_dropped(self):
-        p = LaurentPoly({1: Fraction(0)})
-        assert p.is_zero
-        assert p.items() == []
-
-    def test_arithmetic(self):
-        a = LaurentPoly.monomial(1, -2)
-        b = LaurentPoly.constant(2)
-        assert (a + b).items() == [(-2, Fraction(1)), (0, Fraction(2))]
-        assert (a * b).items() == [(-2, Fraction(2))]
-        assert (a - a).is_zero
-
-    def test_scalar_multiplication(self):
-        p = Fraction(1, 2) * LaurentPoly.monomial(4, 3)
-        assert p == LaurentPoly.monomial(2, 3)
-
-    def test_equality_and_hash(self):
-        assert LaurentPoly.constant(1) == LaurentPoly({0: Fraction(1)})
-        assert hash(LaurentPoly.constant(1)) == hash(LaurentPoly({0: Fraction(1)}))
-
-
 class TestM1Polynomial:
+    def test_table_reads_back_in_laurent_form(self):
+        p = M1Polynomial([[3]], low=-2, denominator=2)
+        assert p.coefficients == ({-2: Fraction(3, 2)},)
+        assert [list(c.items()) for c in p.coefficients] == [[(-2, Fraction(3, 2))]]
+        assert p.min_lambda_power() == -2
+
+    def test_zero_entries_dropped(self):
+        p = M1Polynomial([[0, 0]], low=1)
+        assert p.coefficients == ({},)
+        assert p.degree == 0 and p.min_lambda_power() == 0
+        assert M1Polynomial([[0, 4, 0, 2]], low=-3, denominator=2) == M1Polynomial([[2, 0, 1]], -2)
+
     def test_trailing_zero_coefficients_trimmed(self):
-        p = M1Polynomial([LaurentPoly.constant(1), LaurentPoly({})])
+        p = M1Polynomial([[1], []])
         assert p.degree == 0
 
+    def test_ring_arithmetic(self):
+        a = M1Polynomial([[1]], low=-2)
+        b = M1Polynomial([[2]])
+        assert (a + b).coefficients == ({-2: Fraction(1), 0: Fraction(2)},)
+        assert (a * b).coefficients == ({-2: Fraction(2)},)
+        assert (a + a * -1).coefficients == ({},)
+        assert M1Polynomial([[], [1]]) + M1Polynomial([[]]) == M1Polynomial([[0], [1]])
+
     def test_multiplication_degree(self):
-        x = M1Polynomial([LaurentPoly({}), LaurentPoly.constant(1)])
+        x = M1Polynomial([[], [1]])
         assert (x * x).degree == 2
+        assert x * x * M1Polynomial([[]]) == M1Polynomial([[]])
+
+    def test_scalar_multiplication(self):
+        p = Fraction(1, 2) * M1Polynomial([[4]], low=3)
+        assert p == M1Polynomial([[2]], low=3)
+        assert p * 3 == M1Polynomial([[6]], low=3)
+
+    @pytest.mark.parametrize("scalar", [0.1, 2.0, True, False])
+    def test_scalar_product_rejects_float_and_bool(self, scalar):
+        p = mn_in_m1(2, 8)
+        with pytest.raises(TypeError):
+            p * scalar
+        with pytest.raises(TypeError):
+            scalar * p
+
+    @pytest.mark.parametrize(
+        "args",
+        [([[0.5]],), ([[True]],), ([[1]], 0.0), ([[1]], 0, 2.0), ([[1]], 0, True)],
+    )
+    def test_constructor_takes_only_int(self, args):
+        with pytest.raises(TypeError):
+            M1Polynomial(*args)
+
+    def test_constructor_rejects_nonpositive_denominator(self):
+        with pytest.raises(ValueError):
+            M1Polynomial([[1]], 0, 0)
+
+    def test_equality_is_on_lowest_terms(self):
+        assert M1Polynomial([[2]], denominator=4) == M1Polynomial([[1]], denominator=2)
+        assert M1Polynomial([[1]], low=-2) != M1Polynomial([[1]])
+        assert M1Polynomial([[1]]) != Series.one(0)
+
+    def test_repr_rebuilds_the_polynomial(self):
+        p = M1Polynomial([[], [2, 0, 14]], low=-2, denominator=12)
+        assert repr(p) == "M1Polynomial(((0, 0, 0), (1, 0, 7)), low=-2, denominator=6)"
+        assert eval(repr(p)) == p
 
     def test_evaluate_requires_padded_input(self):
         p = mn_in_m1(2, 8)
@@ -204,25 +233,27 @@ class TestM1Polynomial:
         with pytest.raises(ConsistencyError, match=r"λ\^-2 fails to cancel \(coefficient 1/2\)"):
             p.evaluate(wrong, 8)
 
+    def test_evaluate_over_a_rational_series(self):
+        # (1 + λ·M₁ + M₁²/3) at M₁ = 1/2 + λ/3, against Series arithmetic
+        x = Series([Fraction(1, 2), Fraction(1, 3), 0, 0])
+        p = M1Polynomial([[3, 0], [0, 3], [1]], denominator=3)
+        want = 1 + Series.monomial(1, 1, 3) * x + x * x * Fraction(1, 3)
+        assert p.evaluate(x, 3) == want
+
 
 class TestRatioPolynomials:
     def test_index_zero_is_unity(self):
         p = zj_over_z0_in_m1(0, 10)
-        assert p.degree == 0
-        assert p.coefficient(0) == LaurentPoly.constant(1)
+        assert p.coefficients == ({0: Fraction(1)},)
 
     def test_index_one_is_the_series_itself(self):
         p = zj_over_z0_in_m1(1, 10)
-        assert p.degree == 1
-        assert p.coefficient(0) == LaurentPoly({})
-        assert p.coefficient(1) == LaurentPoly.constant(1)
+        assert p.coefficients == ({}, {0: Fraction(1)})
 
     def test_index_two_shape(self):
         # Z2/Z0 = (M1 - 1)/λ²
         p = zj_over_z0_in_m1(2, 10)
-        assert p.degree == 1
-        assert p.coefficient(0) == LaurentPoly.monomial(-1, -2)
-        assert p.coefficient(1) == LaurentPoly.monomial(1, -2)
+        assert p.coefficients == ({-2: Fraction(-1)}, {-2: Fraction(1)})
 
     @pytest.mark.parametrize("j", [0, 1, 2, 3, 4])
     def test_substitution_recovers_ratio(self, j):
@@ -241,20 +272,18 @@ class TestHigherMomentsInFirstMoment:
     def test_two_root_polynomial(self):
         # M2 = (M1 - 1)/(2λ²) - M1²
         p = mn_in_m1(2, 10)
-        assert p.degree == 2
-        assert p.coefficient(0) == LaurentPoly.monomial(Fraction(-1, 2), -2)
-        assert p.coefficient(1) == LaurentPoly.monomial(Fraction(1, 2), -2)
-        assert p.coefficient(2) == LaurentPoly.constant(-1)
+        assert p.coefficients == (
+            {-2: Fraction(-1, 2)}, {-2: Fraction(1, 2)}, {0: Fraction(-1)}
+        )
 
     def test_three_root_polynomial(self):
         p = mn_in_m1(3, 10)
-        assert p.degree == 3
-        assert p.coefficient(3) == LaurentPoly.constant(2)
-        assert p.coefficient(2) == LaurentPoly.monomial(Fraction(-3, 2), -2)
-        assert p.coefficient(1) == LaurentPoly(
-            {-4: Fraction(1, 6), -2: Fraction(7, 6)}
+        assert p.coefficients == (
+            {-4: Fraction(-1, 6)},
+            {-4: Fraction(1, 6), -2: Fraction(7, 6)},
+            {-2: Fraction(-3, 2)},
+            {0: Fraction(2)},
         )
-        assert p.coefficient(0) == LaurentPoly.monomial(Fraction(-1, 6), -4)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_top_coefficient_is_signed_factorial(self, n):
@@ -263,7 +292,7 @@ class TestHigherMomentsInFirstMoment:
         fact = 1
         for i in range(1, n):
             fact *= i
-        assert p.coefficient(n) == LaurentPoly.constant((-1) ** (n - 1) * fact)
+        assert p.coefficients[n] == {0: (-1) ** (n - 1) * fact}
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_substitution_recovers_map_series(self, n):
@@ -275,22 +304,20 @@ class TestHigherMomentsInFirstMoment:
 
     def test_single_root_passthrough(self):
         p = mn_in_m1(1, 8)
-        assert p.degree == 1
-        assert p.coefficient(1) == LaurentPoly.constant(1)
+        assert p.coefficients == ({}, {0: Fraction(1)})
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             mn_in_m1(0, 8)
 
     def test_wrong_degree_is_a_consistency_error(self, monkeypatch):
-        # M_3/3! with its M₁³ term dropped has degree 2
-        real = nrooted.relations._mn_part
+        # M_3 with its M₁³ term, 2, dropped has degree 2
+        real = nrooted.relations._mn_table
+        dropped = M1Polynomial([[], [], [], [-2]])
         monkeypatch.setattr(
             nrooted.relations,
-            "_mn_part",
-            lambda n, order: (
-                M1Polynomial(real(n, order).coefficients[:-1]) if n == 3 else real(n, order)
-            ),
+            "_mn_table",
+            lambda n: real(n) + dropped if n == 3 else real(n),
         )
         with pytest.raises(
             ConsistencyError, match=r"mn_in_m1\(3\): degree 2, expected exactly 3"
@@ -322,11 +349,110 @@ class TestHigherMomentsInFirstMoment:
         mn_in_m1(4, 12)
         mn_in_m1(4, 12)
         mn_in_m1(3, 12)
-        assert checked == [
-            *(f"zj_over_z0_in_m1({j})" for j in range(1, 5)),
-            "mn_in_m1(4)",
-            "mn_in_m1(3)",
-        ]
+        assert checked == ["mn_in_m1(4)", "mn_in_m1(3)"]
+
+
+#: The Laurent view [[(λ-power, str(coefficient)), ...] per M₁-power] of each
+#: polynomial, as the Fraction-valued Laurent class that preceded the integer
+#: tables gave it.
+LAURENT_VIEWS = {
+    ("zj", 0): [[(0, "1")]],
+    ("zj", 1): [[], [(0, "1")]],
+    ("zj", 2): [[(-2, "-1")], [(-2, "1")]],
+    ("zj", 3): [[(-4, "-1")], [(-4, "1"), (-2, "-2")]],
+    ("zj", 4): [[(-6, "-1"), (-4, "3")], [(-6, "1"), (-4, "-5")]],
+    ("zj", 5): [[(-8, "-1"), (-6, "7")], [(-8, "1"), (-6, "-9"), (-4, "8")]],
+    ("zj", 6): [
+        [(-10, "-1"), (-8, "12"), (-6, "-15")],
+        [(-10, "1"), (-8, "-14"), (-6, "33")],
+    ],
+    ("mn", 1): [[], [(0, "1")]],
+    ("mn", 2): [[(-2, "-1/2")], [(-2, "1/2")], [(0, "-1")]],
+    ("mn", 3): [[(-4, "-1/6")], [(-4, "1/6"), (-2, "7/6")], [(-2, "-3/2")], [(0, "2")]],
+    ("mn", 4): [
+        [(-6, "-1/24"), (-4, "-5/8")],
+        [(-6, "1/24"), (-4, "47/24")],
+        [(-4, "-17/12"), (-2, "-14/3")],
+        [(-2, "6")],
+        [(0, "-6")],
+    ],
+    ("mn", 5): [
+        [(-8, "-1/120"), (-6, "-31/40")],
+        [(-8, "1/120"), (-6, "9/5"), (-4, "211/40")],
+        [(-6, "-25/24"), (-4, "-125/8")],
+        [(-4, "65/6"), (-2, "70/3")],
+        [(-2, "-30")],
+        [(0, "24")],
+    ],
+}
+
+
+class TestOrderFreePolynomials:
+    @pytest.mark.parametrize("key", sorted(LAURENT_VIEWS), ids=lambda k: f"{k[0]}{k[1]}")
+    def test_laurent_view_is_pinned(self, key):
+        family, index = key
+        poly = (zj_over_z0_in_m1 if family == "zj" else mn_in_m1)(index, 16)
+        view = [[(p, str(c)) for p, c in lp.items()] for lp in poly.coefficients]
+        assert view == LAURENT_VIEWS[key]
+        assert all(isinstance(c, Fraction) for lp in poly.coefficients for c in lp.values())
+
+    @pytest.mark.parametrize("n", sorted(M1_IDENTITIES))
+    def test_identity_rows_equal_the_built_tables(self, n):
+        # N!·λ^{2N−2}·M_N term by term: integer coefficients, non-negative λ-powers
+        built = {
+            (p + 2 * n - 2, i): c
+            for i, lp in enumerate((mn_in_m1(n, 8) * factorial(n)).coefficients)
+            for p, c in lp.items()
+        }
+        published = {(lam, mpow): coeff for coeff, lam, mpow in M1_IDENTITIES[n]}
+        assert built == published
+        assert all(c.denominator == 1 for c in built.values())
+
+    def test_each_polynomial_is_built_once_across_orders(self, monkeypatch):
+        products, checked = [], []
+        real_mul = M1Polynomial.__mul__
+        real_check = nrooted.relations._require_substitution
+
+        def counted_mul(a, b):
+            products.append(1)
+            return real_mul(a, b)
+
+        def counted_check(context, poly, expected):
+            checked.append((context.split(":")[0], expected.order))
+            real_check(context, poly, expected)
+
+        monkeypatch.setattr(M1Polynomial, "__mul__", counted_mul)
+        monkeypatch.setattr(nrooted.relations, "_require_substitution", counted_check)
+        first = mn_in_m1(5, 12)
+        built = len(products)
+        assert built > 0
+        assert nrooted.relations._mn_table.cache_info().misses == 5
+        assert nrooted.relations._zj_table.cache_info().misses == 5
+
+        # a second and a third order cost the check alone
+        for order in (20, 9):
+            assert mn_in_m1(5, order) is first
+        assert len(products) == built
+        assert nrooted.relations._mn_table.cache_info().misses == 5
+        assert nrooted.relations._zj_table.cache_info().misses == 5
+        assert checked == [("mn_in_m1(5)", 12), ("mn_in_m1(5)", 20), ("mn_in_m1(5)", 9)]
+
+        assert zj_over_z0_in_m1(5, 30) is zj_over_z0_in_m1(5, 11)
+        assert nrooted.relations._zj_table.cache_info().misses == 5
+        assert checked[3:] == [("zj_over_z0_in_m1(5)", 30), ("zj_over_z0_in_m1(5)", 11)]
+
+    def test_check_reads_m1_as_a_slice_of_the_widest_series(self, monkeypatch):
+        m_series(16, 64)
+        inverts = []
+        real_invert = Series.invert
+
+        def counted_invert(series):
+            inverts.append(series.order)
+            return real_invert(series)
+
+        monkeypatch.setattr(Series, "invert", counted_invert)
+        mn_in_m1(5, 40)  # M₁ to 40 + 8 and M₅ to 40 are truncations of order-64 series
+        assert inverts == []
 
 
 class TestReports:

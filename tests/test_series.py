@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrooted.series import Series, first_difference, log_coefficients
+from nrooted.errors import ConsistencyError
+from nrooted.series import Series, first_difference, horner, log_coefficients
 
 
 def S(*coeffs):
@@ -110,6 +111,26 @@ class TestArithmetic:
         s = S(1, 1, 0, 0)
         assert s**3 == S(1, 3, 3, 1)
         assert s**0 == Series.one(3)
+
+    @pytest.mark.parametrize("exponent", [True, False, -1, 2.0])
+    def test_pow_rejects_bool_negative_and_float_exponents(self, exponent):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            Series([1, 2, 3]) ** exponent
+
+    def test_unshifted_divides_by_a_power(self):
+        s = S(0, 0, Fraction(1, 2), 3)
+        assert s.unshifted(2, "demo") == S(Fraction(1, 2), 3)
+        assert s.unshifted(0, "demo") == s
+        assert Series.one(3).shifted(3).unshifted(3, "demo") == Series.one(3)
+
+    def test_unshifted_names_the_first_negative_power_left(self):
+        with pytest.raises(ConsistencyError, match=r"^demo: negative power λ\^-1 fails to cancel \(coefficient 2/3\)$"):
+            S(0, Fraction(2, 3), 0, 5).unshifted(2, "demo")
+
+    @pytest.mark.parametrize("powers", [-1, 4])
+    def test_unshifted_beyond_the_order_is_rejected(self, powers):
+        with pytest.raises(ValueError):
+            S(0, 0, 0, 1).unshifted(powers, "demo")
 
 
 class TestCalculus:
@@ -335,6 +356,24 @@ class TestIntegerKernels:
     @given(kernel_series(), kernel_series())
     def test_mul_matches_schoolbook(self, a, b):
         assert_kernel_result(a * b, schoolbook_mul(a.coefficients, b.coefficients))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(-50, 50), max_size=12), min_size=1, max_size=5),
+        st.integers(1, 30),
+        kernel_series(),
+    )
+    def test_horner_matches_series_arithmetic(self, rows, den, x):
+        order = x.order
+        want = Series.zero(order)
+        for i, row in enumerate(rows):
+            c = Series([Fraction(v, den) for v in row[: order + 1]], order=order)
+            want = want + c * x**i
+        assert_kernel_result(horner(rows, den, x, order), want.coefficients)
+
+    def test_horner_needs_x_to_the_order(self):
+        with pytest.raises(ValueError, match="to order 5, got 3"):
+            horner([[1], [1]], 1, S(1, 2, 3, 4), 5)
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_series(constant=nonzero_constants))

@@ -237,11 +237,9 @@ class TestCounting:
         ):
             count_connected_classes(1, 2)
 
-    @pytest.mark.parametrize(
-        "cpus,pool_sizes",
-        [(64, [3]), (2, [2]), (None, [])],  # (1, 2) has 3 photon matchings
-    )
-    def test_worker_count_is_clamped(self, monkeypatch, cpus, pool_sizes):
+    @staticmethod
+    def record_pool_sizes(monkeypatch) -> list:
+        """Replace ``multiprocessing.Pool``; the returned list gets each requested size."""
         sizes = []
 
         class RecordingPool:
@@ -260,6 +258,25 @@ class TestCounting:
                 return [fn(t) for t in tasks]
 
         monkeypatch.setattr("multiprocessing.Pool", RecordingPool)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "cpus,pool_sizes",
+        [(64, [3]), (2, [2]), (None, [])],  # (1, 2) has 3 photon matchings
+    )
+    def test_worker_count_is_clamped(self, monkeypatch, cpus, pool_sizes):
+        # cpus is the affinity mask's size (None: a one-CPU mask); os.cpu_count
+        # also counts the CPUs outside the mask
+        sizes = self.record_pool_sizes(monkeypatch)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus or 1)))
+        monkeypatch.setattr("os.cpu_count", lambda: 1024)
+        assert count_connected_classes(1, 2, workers=10**6) == 10
+        assert sizes == pool_sizes
+
+    @pytest.mark.parametrize("cpus,pool_sizes", [(2, [2]), (None, [])])
+    def test_cpu_count_caps_without_an_affinity_mask(self, monkeypatch, cpus, pool_sizes):
+        sizes = self.record_pool_sizes(monkeypatch)
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: cpus)
         assert count_connected_classes(1, 2, workers=10**6) == 10
         assert sizes == pool_sizes
