@@ -8,6 +8,10 @@ field of count reports.
 The truncation order ``--order`` defaults to 12 and may not exceed
 :data:`MAX_ORDER`.  Going past it, as past every other bound here, is a usage
 error that answers at once.
+
+Each command, count method and verify suite imports the package modules it
+calls inside its own function, so a process loads only what its command runs
+(a ``convert`` never loads the series layers).
 """
 
 from __future__ import annotations
@@ -18,40 +22,13 @@ import sys
 import time
 from dataclasses import dataclass
 from math import factorial
+from typing import TYPE_CHECKING
 
 from .errors import ConsistencyError
-from .qft import m0_series, m1_closed_form, m_count, m_series, z_np_series, z_series
-from .relations import (
-    M1Polynomial,
-    VerificationReport,
-    _mn_table,
-    b_table,
-    mn_in_m1,
-    r_series,
-    report_from_difference,
-    verify_ode_m0,
-    verify_ode_m1,
-    verify_ode_z0,
-    zj_over_z0_in_m1,
-)
-from .ribbon import (
-    canonical_form,
-    count_maps_by_division,
-    enumerate_maps,
-    genus_profile,
-    map_from_json,
-    map_to_json,
-)
-from .series import Series, _require_equal
-from .tables import M1_IDENTITIES, M_TABLES
-from .wick import (
-    bijection_class_multiset,
-    contraction_from_json,
-    contraction_to_json,
-    count_connected_classes,
-    from_map,
-    to_map,
-)
+
+if TYPE_CHECKING:
+    from .relations import VerificationReport
+    from .series import Series
 
 __all__ = ["main", "entry_point", "CountReport"]
 
@@ -121,6 +98,8 @@ def _checked_order(args) -> int:
 
 
 def _series_for(args) -> Series:
+    from .qft import m0_series, m_series, z_np_series, z_series
+
     order = _checked_order(args)
     family = args.family
     if family == "m0":
@@ -175,14 +154,20 @@ def _cmd_count(args) -> int:
     profile: dict[int, int] | None = None
 
     if args.method == "theorem2":
+        from .qft import m_count
+
         _check_bound("--n", n, MAX_ROOTS)
         _check_bound("--edges", e, MAX_THEOREM2_EDGES)
         value = m_count(n, e)
     elif args.method == "closed-form":
+        from .qft import m1_closed_form
+
         if n != 1:
             raise ValueError("method closed-form applies only to --n 1")
         value = m1_closed_form(e)
     elif args.method == "oracle-ribbon":
+        from .ribbon import count_maps_by_division, genus_profile
+
         profile = genus_profile(n, e)
         value = sum(profile.values())
         division = count_maps_by_division(n, e)
@@ -191,6 +176,8 @@ def _cmd_count(args) -> int:
                 f"enumeration found {value} classes but labeled division gives {division}"
             )
     elif args.method == "oracle-wick":
+        from .wick import count_connected_classes
+
         value = count_connected_classes(n, e, workers=args.threads)
     else:
         raise ValueError(f"unknown method {args.method!r}")
@@ -208,6 +195,8 @@ def _cmd_count(args) -> int:
 
 def _attempt(identity: str, order: int, thunk) -> VerificationReport:
     """Run a self-validating construction; a ConsistencyError means failure."""
+    from .relations import VerificationReport
+
     try:
         thunk()
     except ConsistencyError as exc:
@@ -216,12 +205,17 @@ def _attempt(identity: str, order: int, thunk) -> VerificationReport:
 
 
 def _suite_ode(order: int) -> list[VerificationReport]:
+    from .relations import verify_ode_m0, verify_ode_m1, verify_ode_z0
+
     return [verify_ode_m1(order), verify_ode_m0(order), verify_ode_z0(order)]
 
 
 def _m1_identity_report(n: int, order: int) -> VerificationReport:
     """N!·λ^{2N−2}·M_N as built against its published row; a failure names the
     first differing monomial, by λ-power and then M₁-power."""
+    from .relations import VerificationReport, _mn_table
+    from .tables import M1_IDENTITIES
+
     shift = 2 * n - 2
     built = {
         (p + shift, i): c
@@ -238,8 +232,8 @@ def _m1_identity_report(n: int, order: int) -> VerificationReport:
 
 
 def _suite_theorem3(order: int) -> list[VerificationReport]:
-    if order < 8:  # the published M₁ identities reach λ^8 (N = 5)
-        raise ValueError("theorem3 needs order at least 8")
+    from .relations import mn_in_m1
+
     reports = [_b_closed_forms_report()]
     for n in range(1, 7):
         reports.append(
@@ -261,6 +255,8 @@ def _b_closed_forms_report() -> VerificationReport:
     A failure names the first entry off its closed form; the triangle has no
     λ-power, so ``first_failure_power`` stays ``None``.
     """
+    from .relations import VerificationReport, b_table
+
     table = b_table(12)
     for n in range(13):
         closed = {0: factorial(n), n: 1}
@@ -277,6 +273,10 @@ def _b_closed_forms_report() -> VerificationReport:
 
 def _check_oop(n: int, order: int) -> None:
     """λⁿ Z₀⁽ⁿ⁾ = Σ_k (−1)^{n−k} B_{n,2k−1} R_{2k−1}, as truncated series."""
+    from .qft import z_series
+    from .relations import b_table, r_series
+    from .series import Series, _require_equal
+
     z0 = z_series(0, order + n)
     deriv = z0
     for _ in range(n):
@@ -290,11 +290,18 @@ def _check_oop(n: int, order: int) -> None:
 
 
 def _check_z1_shape(order: int) -> None:
+    from .relations import M1Polynomial, zj_over_z0_in_m1
+
     if zj_over_z0_in_m1(1, order) != M1Polynomial([[], [1]]):
         raise ConsistencyError("Z₁/Z₀ should be exactly M₁")
 
 
 def _suite_tables(order: int) -> list[VerificationReport]:
+    from .qft import m_series, z_np_series
+    from .relations import report_from_difference
+    from .series import Series
+    from .tables import M_TABLES
+
     reports = []
     for n, row in M_TABLES.items():
         published = Series([row[p // 2] if p % 2 == 0 else 0 for p in range(2 * len(row) - 1)])
@@ -308,6 +315,11 @@ def _suite_tables(order: int) -> list[VerificationReport]:
 
 
 def _suite_bijection(threads: int) -> list[VerificationReport]:
+    from .qft import m_count
+    from .relations import VerificationReport
+    from .ribbon import count_maps_by_division, enumerate_maps
+    from .wick import bijection_class_multiset, count_connected_classes
+
     reports = []
     for n, e in BIJECTION_CASES:
         expected = m_count(n, e)
@@ -366,6 +378,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    from .ribbon import canonical_form, map_from_json, map_to_json
+    from .wick import contraction_from_json, contraction_to_json, from_map, to_map
+
     if args.input == "-":
         raw = sys.stdin.read()
     else:

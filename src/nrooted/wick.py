@@ -32,8 +32,8 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
+from typing import TYPE_CHECKING
 
 from .errors import BoundExceededError, ConsistencyError
 from .permutations import (
@@ -44,6 +44,9 @@ from .permutations import (
     is_involution_without_fixed_points,
 )
 from .ribbon import RootedMap, _canonical_relabeling, _require_valid, point_map, validate
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "MAX_SLOTS",
@@ -376,6 +379,8 @@ def total_weighted_classes(n_external: int, edges: int) -> Fraction:
     nontrivial symmetries, so this weighted total is a rational number,
     not a class count.
     """
+    from fractions import Fraction  # here, not at module level: convert never needs it
+
     _check_bounds(n_external, edges)
     total = sum(1 for _ in enumerate_contractions(n_external, edges))
     return Fraction(total, factorial(2 * edges))

@@ -12,6 +12,9 @@ from pathlib import Path
 import pytest
 
 import nrooted.cli
+import nrooted.relations
+import nrooted.ribbon
+import nrooted.tables
 from nrooted.cli import main
 from nrooted.errors import ConsistencyError
 from nrooted.relations import VerificationReport
@@ -277,16 +280,16 @@ class TestCountCommand:
         assert runs[0] == runs[1]
 
     def test_oracle_disagreement_is_a_consistency_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr("nrooted.cli.count_maps_by_division", lambda n, e: 999)
+        monkeypatch.setattr("nrooted.ribbon.count_maps_by_division", lambda n, e: 999)
         code, _, err = run(
             capsys, "count", "--n", "1", "--edges", "1", "--method", "oracle-ribbon"
         )
         assert code == 1
-        assert err
+        assert err == (
+            "consistency failure: enumeration found 2 classes but labeled division gives 999\n"
+        )
 
     def test_structural_oracle_scans_once(self, capsys, monkeypatch):
-        import nrooted.ribbon
-
         calls = []
         real = nrooted.ribbon.enumerate_maps
 
@@ -294,7 +297,6 @@ class TestCountCommand:
             calls.append((n, e))
             return real(n, e)
 
-        monkeypatch.setattr(nrooted.cli, "enumerate_maps", counted)
         monkeypatch.setattr(nrooted.ribbon, "enumerate_maps", counted)
         code, out, _ = run(
             capsys, "count", "--n", "2", "--edges", "2", "--method", "oracle-ribbon"
@@ -326,12 +328,15 @@ class TestVerifyCommand:
             "m1-ode", "m0-ode", "z0-ode",
         ]
 
-    @pytest.mark.parametrize("suite", ["theorem3", "all"])
-    def test_theorem3_below_its_order_bound_is_usage_error(self, capsys, suite):
-        code, out, err = run(capsys, "verify", "--suite", suite, "--order", "7")
-        assert code == 2
-        assert out == ""
-        assert err == "error: theorem3 needs order at least 8\n"
+    @pytest.mark.parametrize("suite,order", [("theorem3", 0), ("theorem3", 7), ("all", 7)])
+    def test_theorem3_runs_at_low_orders(self, capsys, suite, order):
+        # M_N's table has no order; only the substitution checks read it
+        code, out, err = run(capsys, "verify", "--suite", suite, "--order", str(order))
+        assert code == 0
+        assert err == ""
+        reports = json.loads(out)
+        assert "m5-in-m1" in {r["identity"] for r in reports}
+        assert all(r["pass"] for r in reports)
 
     @pytest.mark.parametrize("suite", ["theorem3", "all"])
     def test_theorem3_at_its_order_bound_passes(self, capsys, suite):
@@ -349,7 +354,7 @@ class TestVerifyCommand:
 
     def test_failure_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            "nrooted.cli.verify_ode_m1",
+            "nrooted.relations.verify_ode_m1",
             lambda order: VerificationReport("m1-ode", order, False, 4),
         )
         code, out, _ = run(capsys, "verify", "--suite", "ode")
@@ -365,7 +370,7 @@ class TestVerifyCommand:
         from nrooted.series import Series
 
         monkeypatch.setattr(
-            "nrooted.cli.verify_ode_m1",
+            "nrooted.relations.verify_ode_m1",
             lambda order: verify_ode_m1(
                 order, m1=m_series(1, order) + Series.monomial(1, 4, order)
             ),
@@ -385,7 +390,6 @@ class TestVerifyCommand:
     def test_failed_closure_names_power(self, capsys, monkeypatch):
         # bump m_3(2) from 6 to 7 where mn_in_m1 reads it; its M₁ substitution
         # still gives 6, so only the m3 closure fails
-        import nrooted.relations
         from nrooted.series import Series
 
         real = nrooted.relations.m_series
@@ -411,9 +415,9 @@ class TestVerifyCommand:
 
     def test_wrong_table_identity_fails_alone(self, capsys, monkeypatch):
         # 7·λ²·M₁ becomes 8·λ²·M₁ in the N = 3 row; the built table has 7 there
-        table = {n: list(row) for n, row in nrooted.cli.M1_IDENTITIES.items()}
+        table = {n: list(row) for n, row in nrooted.tables.M1_IDENTITIES.items()}
         table[3] = [(8, 2, 1) if term == (7, 2, 1) else term for term in table[3]]
-        monkeypatch.setattr(nrooted.cli, "M1_IDENTITIES", table)
+        monkeypatch.setattr(nrooted.tables, "M1_IDENTITIES", table)
         code, out, err = run(capsys, "verify", "--suite", "theorem3")
         assert code == 1
         failed = [r for r in json.loads(out) if not r["pass"]]
@@ -442,9 +446,9 @@ class TestVerifyCommand:
     def test_perturbed_row_names_the_first_differing_monomial(
         self, capsys, monkeypatch, perturb, first
     ):
-        table = dict(nrooted.cli.M1_IDENTITIES)
+        table = dict(nrooted.tables.M1_IDENTITIES)
         table[5] = perturb(table[5])
-        monkeypatch.setattr(nrooted.cli, "M1_IDENTITIES", table)
+        monkeypatch.setattr(nrooted.tables, "M1_IDENTITIES", table)
         code, out, err = run(capsys, "verify", "--suite", "theorem3", "--order", "16")
         assert code == 1
         failed = [r for r in json.loads(out) if not r["pass"]]
@@ -461,9 +465,9 @@ class TestVerifyCommand:
 
     def test_wrong_published_count_names_its_power(self, capsys, monkeypatch):
         # m_2(3) is 165; a published 166 differs at λ^6, not at the order 12
-        tables = dict(nrooted.cli.M_TABLES)
+        tables = dict(nrooted.tables.M_TABLES)
         tables[2] = (0, 1, 13, 166, 2273, 34577, 581133)
-        monkeypatch.setattr(nrooted.cli, "M_TABLES", tables)
+        monkeypatch.setattr(nrooted.tables, "M_TABLES", tables)
         code, out, err = run(capsys, "verify", "--suite", "tables")
         assert code == 1
         failed = [r for r in json.loads(out) if not r["pass"]]
@@ -490,7 +494,7 @@ class TestVerifyCommand:
             rows[5][4] = 99
             return BTable(tuple(map(tuple, rows)))
 
-        monkeypatch.setattr(nrooted.cli, "b_table", perturbed)
+        monkeypatch.setattr(nrooted.relations, "b_table", perturbed)
         code, out, err = run(capsys, "verify", "--suite", "theorem3")
         assert code == 1
         failed = [r for r in json.loads(out) if not r["pass"]]
@@ -505,11 +509,11 @@ class TestVerifyCommand:
         assert err == "FAIL b-closed-forms: B[5][4]: 99 != 35\n"
 
     def test_wrong_z1_shape_fails_alone(self, capsys, monkeypatch):
-        # 2·M₁ in place of M₁; the closures read the quotients in relations
+        # 2·M₁ in place of M₁; the closures build their quotients without this function
         from nrooted.relations import M1Polynomial
 
         monkeypatch.setattr(
-            nrooted.cli,
+            nrooted.relations,
             "zj_over_z0_in_m1",
             lambda j, order: M1Polynomial([[], [2]]),
         )

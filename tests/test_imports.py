@@ -1,11 +1,16 @@
-"""Every module-level import and private helper in the package is used,
-only ``series.py`` touches the private storage of ``Series``, and no module
-reads the environment.
+"""Every import and private helper in the package is used, only
+``series.py`` touches the private storage of ``Series``, no module reads the
+environment, and each command loads only the modules it runs.
 
 A stdlib stand-in for a linter.
 """
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,23 +22,44 @@ PACKAGE_DIR = Path(nrooted.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _imports(node: ast.AST, scope: ast.AST, found: list) -> None:
+    """Append (name, scope) for each name an import below ``node`` binds; the
+    scope is the innermost enclosing function, or the module."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)) and not (
+            isinstance(child, ast.ImportFrom) and child.module == "__future__"
+        ):
+            found.extend((alias.asname or alias.name.split(".")[0], scope) for alias in child.names)
+        _imports(child, child if isinstance(child, FUNCTIONS) else scope, found)
+
+
 def unused_imports(source: str) -> list[str]:
-    """Names bound by top-level imports that the module neither uses nor exports."""
+    """Names bound by imports that their scope neither uses nor exports.
+
+    A module-level import (``if TYPE_CHECKING:`` blocks included) may be used
+    anywhere in the module or listed in ``__all__``; an import inside a
+    function must be used within that function.
+    """
     tree = ast.parse(source)
-    imported: list[str] = []
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                imported.append(alias.asname or alias.name.split(".")[0])
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found: list[tuple[str, ast.AST]] = []
+    _imports(tree, tree, found)
+    exported: set[str] = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used.update(ast.literal_eval(node.value))
-    return [name for name in imported if name not in used]
+            exported.update(ast.literal_eval(node.value))
+    used = {
+        id(scope): {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        for _, scope in found
+    }
+    return [
+        name for name, scope in found
+        if name not in used[id(scope)] and not (scope is tree and name in exported)
+    ]
 
 
 def dead_private_helpers(sources: dict[str, str]) -> list[str]:
@@ -78,6 +104,25 @@ def test_scanner_reports_unused_and_spares_used_or_exported():
         "    return j.dumps(x)\n"
     )
     assert unused_imports(source) == ["os", "unused"]
+
+
+def test_scanner_reports_unused_function_local_imports():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from b import Hint, Unhinted\n"
+        "def f(x: Hint):\n"
+        "    from a import used, unused\n"
+        "    import os.path\n"
+        "    def inner():\n"
+        "        import json\n"
+        "        return os.path.join(used, json.dumps(x))\n"
+        "    return inner\n"
+        "def g():\n"
+        "    import sys\n"
+        "    return unused\n"  # f's import is still unused: another scope uses the name
+    )
+    assert unused_imports(source) == ["Unhinted", "unused", "sys"]
 
 
 def test_no_dead_private_helpers():
@@ -175,3 +220,90 @@ def test_scanner_reports_environment_reads():
     assert name_uses(source, ENVIRONMENT_READS) == [
         "2:environ", "2:getenv", "3:environ", "4:getenv", "5:environ",
     ]
+
+
+def loaded_modules(code: str, *argv: str, stdin: str = "") -> set[str]:
+    """The ``nrooted`` submodules loaded once ``code`` has run in a fresh interpreter."""
+    report = "\nimport sys\nprint(*(m for m in sys.modules if m.startswith('nrooted.')))"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code + report, *argv],
+        input=stdin, capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {name.removeprefix("nrooted.") for name in proc.stdout.splitlines()[-1].split()}
+
+
+#: Runs the command line on its arguments with the command's output sent to
+#: stderr, so that stdout ends with the module report alone.
+RUN_CLI = (
+    "import contextlib, sys\n"
+    "from nrooted.cli import main\n"
+    "with contextlib.redirect_stdout(sys.stderr):\n"
+    "    assert main(sys.argv[1:]) == 0"
+)
+SERIES_LAYERS = {"series", "qft", "relations", "tables"}
+MAP_LAYERS = {"ribbon", "wick"}
+MAP = {"half_edges": 2, "alpha": [[1, 2]], "sigma": [[1, 2]], "roots": [1]}
+CONTRACTION = {"n_external": 1, "n_vertices": 2, "photon_pairs": [[1, 2]],
+               "electron_targets": [1, 2, "ket1"]}
+
+
+def test_bare_import_loads_no_submodule():
+    assert loaded_modules("import nrooted") == set()
+
+
+@pytest.mark.parametrize("to, data", [("contraction", MAP), ("map", CONTRACTION)])
+def test_convert_loads_no_series_layer(to, data):
+    loaded = loaded_modules(RUN_CLI, "convert", "--to", to, stdin=json.dumps(data))
+    assert MAP_LAYERS <= loaded
+    assert not loaded & SERIES_LAYERS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--family", "z", "--n", "2"],
+        ["count", "--n", "2", "--edges", "3", "--method", "theorem2"],
+    ],
+    ids=["series-z", "count-theorem2"],
+)
+def test_series_commands_load_no_map_layer(argv):
+    loaded = loaded_modules(RUN_CLI, *argv)
+    assert "qft" in loaded
+    assert not loaded & MAP_LAYERS
+
+
+def test_facade_imports_a_submodule_by_name():
+    loaded = loaded_modules("from nrooted import qft\nassert qft.__name__ == 'nrooted.qft'")
+    assert "qft" in loaded
+    assert not loaded & MAP_LAYERS
+
+
+EXPORTS = [name for name in nrooted.__all__ if name != "__version__"]
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_export_is_its_home_module_object(name):
+    value = getattr(nrooted, name)
+    assert value.__module__.startswith("nrooted.")
+    assert getattr(importlib.import_module(value.__module__), name) is value
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from nrooted import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(nrooted.__all__)
+    assert all(namespace[name] is getattr(nrooted, name) for name in EXPORTS)
+    assert namespace["__version__"] == "0.1.0"
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        nrooted.no_such_name
+    with pytest.raises(ImportError):
+        exec("from nrooted import no_such_name", {})
