@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial
 from typing import TYPE_CHECKING
 
@@ -55,16 +55,16 @@ BIJECTION_CASES = [(1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (1, 3)]
 FIBER_CASES = [(1, 1), (1, 2), (2, 1)]
 
 
-@dataclass
-class CountReport:
-    """Result of one counting run, serialized as the count-command JSON."""
+class CountReport(
+    namedtuple(
+        "CountReport",
+        "n_roots edges method value genus_profile elapsed_ms",
+        defaults=(None, 0),
+    )
+):
+    """One counting run, for the count-command JSON; ``genus_profile`` may be None."""
 
-    n_roots: int
-    edges: int
-    method: str
-    value: int
-    genus_profile: dict[int, int] | None = None
-    elapsed_ms: int = 0
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         out: dict = {

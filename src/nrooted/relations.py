@@ -21,7 +21,7 @@ Everything is exact; any route disagreement raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd, lcm
@@ -369,15 +369,16 @@ def mn_in_m1(n: int, order: int) -> M1Polynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one identity check, serializable to the report schema."""
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "identity order_checked passed first_failure_power detail",
+        defaults=("",),
+    )
+):
+    """Outcome of one identity check; ``first_failure_power`` is None on a pass."""
 
-    identity: str
-    order_checked: int
-    passed: bool
-    first_failure_power: int | None
-    detail: str = ""
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -21,8 +21,7 @@ e = 0 (two or more roots would need two vertices and at least one edge).
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from math import factorial
 
 from .errors import BoundExceededError, ConsistencyError
@@ -56,19 +55,16 @@ __all__ = [
 MAX_HALF_EDGES = 8
 
 
-@dataclass(frozen=True, order=True)
-class RootedMap:
+class RootedMap(namedtuple("RootedMap", "half_edges alpha sigma roots")):
     """An N-rooted map: half-edge count, edge involution, vertex permutation, roots.
 
     ``alpha`` and ``sigma`` are stored as image tuples: entry ``i-1`` is the
     image of half-edge ``i``.  ``roots`` lists the root half-edges in root
     order.  The edgeless one-vertex map is ``RootedMap(0, (), (), ())``.
+    Maps are immutable and compare, sort and hash by their fields in order.
     """
 
-    half_edges: int
-    alpha: Perm
-    sigma: Perm
-    roots: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def n_edges(self) -> int:
@@ -447,6 +443,8 @@ def map_from_json(data: dict) -> RootedMap:
         if not isinstance(raw, list) or not all(isinstance(c, list) for c in raw):
             raise ValueError(f"{field}: expected a list of cycles (lists)")
         for cyc in raw:
+            if not cyc:
+                raise ValueError(f"{field}: a cycle must not be empty")
             if not all(type(v) is int and 1 <= v <= n for v in cyc):
                 raise ValueError(f"{field}: cycle entries must be integers in 1..{n}")
         try:

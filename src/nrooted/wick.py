@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial
 from typing import TYPE_CHECKING
 
@@ -69,9 +69,8 @@ __all__ = [
 MAX_SLOTS = 9
 
 
-@dataclass(frozen=True)
-class Contraction:
-    """One labeled contraction.
+class Contraction(namedtuple("Contraction", "n_external n_vertices photon targets")):
+    """One labeled contraction, immutable.
 
     ``photon`` is a fixed-point-free involution on the vertex set {1..2e},
     stored as an image tuple.  ``targets`` holds π in out-slot order
@@ -79,10 +78,7 @@ class Contraction:
     meaning ket_k.
     """
 
-    n_external: int
-    n_vertices: int
-    photon: Perm
-    targets: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def n_edges(self) -> int:
@@ -473,6 +469,9 @@ def contraction_from_json(data: dict) -> Contraction:
         elif isinstance(entry, str) and entry.startswith("ket"):
             try:
                 k = int(entry[3:])
+                # int() also reads signs, spaces, "_" and non-ASCII digits.
+                if entry != f"ket{k}":
+                    raise ValueError
             except ValueError:
                 raise ValueError(f"electron_targets: malformed ket label {entry!r}") from None
             if not 1 <= k <= big_n:

@@ -26,6 +26,9 @@ EXAMPLE_MAP_JSON = {
     "roots": [1, 2, 11],
 }
 
+# Labels that ``int()`` reads as a ket number but that are not written "ketK".
+NON_CANONICAL_KETS = ["ket01", "ket+1", "ket 1", "ket1 ", "ket\u0661", "ket1_0"]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -551,6 +554,24 @@ class TestConvertCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("label", NON_CANONICAL_KETS)
+    def test_non_canonical_ket_label_is_usage_error(self, capsys, monkeypatch, label):
+        data = {"n_external": 1, "n_vertices": 2, "photon_pairs": [[1, 2]],
+                "electron_targets": [1, 2, label]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(data)))
+        code, out, err = run(capsys, "convert", "--to", "map")
+        assert (code, out) == (2, "")
+        assert err == f"error: electron_targets: malformed ket label {label!r}\n"
+
+    @pytest.mark.parametrize("field", ["alpha", "sigma"])
+    def test_empty_cycle_is_usage_error(self, capsys, monkeypatch, field):
+        data = {"half_edges": 2, "alpha": [[1, 2]], "sigma": [[1, 2]], "roots": [1]}
+        data[field].append([])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(data)))
+        code, out, err = run(capsys, "convert", "--to", "contraction")
+        assert (code, out) == (2, "")
+        assert err == f"error: {field}: a cycle must not be empty\n"
 
     def test_map_to_contraction_file(self, capsys, tmp_path):
         src = tmp_path / "map.json"

@@ -1,6 +1,7 @@
 """Every import and private helper in the package is used, only
 ``series.py`` touches the private storage of ``Series``, no module reads the
-environment, and each command loads only the modules it runs.
+environment, and each command loads only the modules it runs, with no
+``dataclasses`` among them.
 
 A stdlib stand-in for a linter.
 """
@@ -222,9 +223,9 @@ def test_scanner_reports_environment_reads():
     ]
 
 
-def loaded_modules(code: str, *argv: str, stdin: str = "") -> set[str]:
-    """The ``nrooted`` submodules loaded once ``code`` has run in a fresh interpreter."""
-    report = "\nimport sys\nprint(*(m for m in sys.modules if m.startswith('nrooted.')))"
+def modules_after(code: str, *argv: str, stdin: str = "") -> list[str]:
+    """Every module in ``sys.modules`` once ``code`` has run in a fresh interpreter."""
+    report = "\nimport sys\nprint(*sys.modules)"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")])
@@ -234,7 +235,21 @@ def loaded_modules(code: str, *argv: str, stdin: str = "") -> set[str]:
         input=stdin, capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    return {name.removeprefix("nrooted.") for name in proc.stdout.splitlines()[-1].split()}
+    return proc.stdout.splitlines()[-1].split()
+
+
+def loaded_modules(code: str, *argv: str, stdin: str = "") -> set[str]:
+    """The ``nrooted`` submodules loaded once ``code`` has run in a fresh interpreter."""
+    return {
+        name.removeprefix("nrooted.")
+        for name in modules_after(code, *argv, stdin=stdin)
+        if name.startswith("nrooted.")
+    }
+
+
+def top_level_modules(code: str, *argv: str, stdin: str = "") -> set[str]:
+    """The top-level modules, stdlib ones included, loaded once ``code`` has run."""
+    return {name for name in modules_after(code, *argv, stdin=stdin) if "." not in name}
 
 
 #: Runs the command line on its arguments with the command's output sent to
@@ -275,6 +290,38 @@ def test_series_commands_load_no_map_layer(argv):
     loaded = loaded_modules(RUN_CLI, *argv)
     assert "qft" in loaded
     assert not loaded & MAP_LAYERS
+
+
+@pytest.fixture(scope="module")
+def bare_interpreter_modules() -> set[str]:
+    """What ``python -c pass`` loads here; a ``site`` with ``.pth`` hooks may
+    preload more than a plain interpreter."""
+    return top_level_modules("pass")
+
+
+#: ``dataclasses`` imports ``inspect`` and through it ``dis``, ``ast`` and
+#: ``tokenize``, none of which a command needs: the largest import a command
+#: could pay for at start-up without using it.
+SLOW_STDLIB = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["convert", "--to", "contraction"], json.dumps(MAP)),
+        (["convert", "--to", "map"], json.dumps(CONTRACTION)),
+        (["series", "--family", "z", "--n", "2"], ""),
+        (["count", "--n", "2", "--edges", "3", "--method", "theorem2"], ""),
+        (["count", "--n", "1", "--edges", "2", "--method", "oracle-ribbon"], ""),
+        (["verify", "--suite", "ode"], ""),
+    ],
+    ids=["convert-to-contraction", "convert-to-map", "series-z", "count-theorem2",
+         "count-oracle-ribbon", "verify-ode"],
+)
+def test_commands_load_no_dataclasses(argv, stdin, bare_interpreter_modules):
+    loaded = top_level_modules(RUN_CLI, *argv, stdin=stdin) - bare_interpreter_modules
+    assert "argparse" in loaded
+    assert not loaded & SLOW_STDLIB
 
 
 def test_facade_imports_a_submodule_by_name():

@@ -341,6 +341,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             map_from_json(data)
 
+    @pytest.mark.parametrize("field", ["alpha", "sigma"])
+    def test_empty_cycle_rejected(self, field):
+        data = {"half_edges": 2, "alpha": [[1, 2]], "sigma": [[1, 2]], "roots": [1]}
+        data[field].append([])
+        with pytest.raises(ValueError, match=f"^{field}: a cycle must not be empty$"):
+            map_from_json(data)
+
     def test_singleton_pairing_cycle_reported_as_fixed_point(self):
         data = json.loads(json.dumps(EXAMPLE_JSON))
         data["alpha"] = [[1], [2], [3, 4], [5, 6], [7, 8], [9, 10], [11, 12]]

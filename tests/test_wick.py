@@ -27,6 +27,8 @@ from nrooted.wick import (
     total_weighted_classes,
 )
 
+NON_CANONICAL_KETS = ["ket01", "ket+1", "ket 1", "ket1 ", "ket\u0661", "ket1_0"]
+
 LOOP_CONTRACTION = Contraction(1, 2, (2, 1), (1, 2, 3))
 LINE_CONTRACTION = Contraction(1, 2, (2, 1), (1, 3, 2))
 
@@ -419,7 +421,8 @@ class TestSerialization:
         }
 
     def test_round_trip(self):
-        for w in [LOOP_CONTRACTION, LINE_CONTRACTION, Contraction(2, 0, (), (2, 1))]:
+        ten_kets = Contraction(10, 0, (), tuple(range(10, 0, -1)))
+        for w in [LOOP_CONTRACTION, LINE_CONTRACTION, Contraction(2, 0, (), (2, 1)), ten_kets]:
             assert contraction_from_json(contraction_to_json(w)) == w
 
     def test_round_trip_via_text(self):
@@ -445,12 +448,21 @@ class TestSerialization:
             lambda d: d.update(
                 n_vertices=False, photon_pairs=[], electron_targets=["ket1"]
             ),
+            lambda d: d.update(electron_targets=[1, 2, "ket-1"]),
         ],
     )
     def test_malformed_rejected(self, mutate):
         data = contraction_to_json(LOOP_CONTRACTION)
         mutate(data)
         with pytest.raises(ValueError):
+            contraction_from_json(data)
+
+    # ``int()`` reads each of these as a ket number; none is written "ketK".
+    @pytest.mark.parametrize("label", NON_CANONICAL_KETS)
+    def test_non_canonical_ket_label_rejected(self, label):
+        data = contraction_to_json(Contraction(10, 0, (), tuple(range(1, 11))))
+        data["electron_targets"][0] = label
+        with pytest.raises(ValueError, match="^electron_targets: malformed ket label"):
             contraction_from_json(data)
 
     def test_dot_snapshot(self):
