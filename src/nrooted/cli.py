@@ -46,7 +46,7 @@ MAX_THEOREM2_EDGES = 128
 #: suite, which does not depend on the order.  At ``--p`` 2048 every
 #: coefficient up to ``MAX_ORDER`` stays under Python's 4300-digit limit on
 #: printing an int (2569 is the last that does at ``--n`` 16), and
-#: ``z_np_series(16, 2048, 256)`` takes about 0.1 s.
+#: ``z_np_series(16, 2048, 256)`` takes about 2 ms.
 MAX_ORDER = 2 * MAX_THEOREM2_EDGES
 MAX_PHOTON_POWER = 2048
 
@@ -114,14 +114,13 @@ def _series_for(args) -> Series:
         if args.n is None or args.n < 0:
             raise ValueError("family z requires --n >= 0")
         return z_series(args.n, order)
-    if family == "znp":
-        if args.n is None or args.n < 0:
-            raise ValueError("family znp requires --n >= 0")
-        if args.p is None or args.p < 0:
-            raise ValueError("family znp requires --p >= 0")
-        _check_bound("--p", args.p, MAX_PHOTON_POWER)
-        return z_np_series(args.n, args.p, order)
-    raise ValueError(f"unknown family {family!r}")
+    # family znp, the last of the parser's choices
+    if args.n is None or args.n < 0:
+        raise ValueError("family znp requires --n >= 0")
+    if args.p is None or args.p < 0:
+        raise ValueError("family znp requires --p >= 0")
+    _check_bound("--p", args.p, MAX_PHOTON_POWER)
+    return z_np_series(args.n, args.p, order)
 
 
 def _format_series(series: Series, fmt: str) -> str:
@@ -129,9 +128,7 @@ def _format_series(series: Series, fmt: str) -> str:
         return json.dumps(series.to_json_dict(), indent=2)
     if fmt == "csv":
         return "\n".join(f"{p},{c}" for p, c in enumerate(series.coefficients) if c != 0)
-    if fmt == "text":
-        return series.format_terms()
-    raise ValueError(f"unknown format {fmt!r}")
+    return series.format_terms()
 
 
 def _cmd_series(args) -> int:
@@ -175,12 +172,10 @@ def _cmd_count(args) -> int:
             raise ConsistencyError(
                 f"enumeration found {value} classes but labeled division gives {division}"
             )
-    elif args.method == "oracle-wick":
+    else:  # oracle-wick
         from .wick import count_connected_classes
 
         value = count_connected_classes(n, e, workers=args.threads)
-    else:
-        raise ValueError(f"unknown method {args.method!r}")
 
     elapsed_ms = int(round((time.monotonic() - started) * 1000))
     report = CountReport(n, e, args.method, value, profile, elapsed_ms)
@@ -193,164 +188,83 @@ def _cmd_count(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _attempt(identity: str, order: int, thunk) -> VerificationReport:
-    """Run a self-validating construction; a ConsistencyError means failure."""
-    from .relations import VerificationReport
-
-    try:
-        thunk()
-    except ConsistencyError as exc:
-        return VerificationReport(identity, order, False, exc.power, detail=str(exc))
-    return VerificationReport(identity, order, True, None)
-
-
 def _suite_ode(order: int) -> list[VerificationReport]:
     from .relations import verify_ode_m0, verify_ode_m1, verify_ode_z0
 
     return [verify_ode_m1(order), verify_ode_m0(order), verify_ode_z0(order)]
 
 
-def _m1_identity_report(n: int, order: int) -> VerificationReport:
-    """N!·λ^{2N−2}·M_N as built against its published row; a failure names the
-    first differing monomial, by λ-power and then M₁-power."""
-    from .relations import VerificationReport, _mn_table
-    from .tables import M1_IDENTITIES
-
-    shift = 2 * n - 2
-    built = {
-        (p + shift, i): c
-        for i, laurent in enumerate((_mn_table(n) * factorial(n)).coefficients)
-        for p, c in laurent.items()
-    }
-    published = {(lam, mpow): coeff for coeff, lam, mpow in M1_IDENTITIES[n]}
-    for lam, mpow in sorted(built.keys() | published.keys()):
-        got, want = built.get((lam, mpow), 0), published.get((lam, mpow), 0)
-        if got != want:
-            detail = f"at λ^{lam}·M₁^{mpow}: {got} != {want}"
-            return VerificationReport(f"m{n}-in-m1", order, False, lam, detail=detail)
-    return VerificationReport(f"m{n}-in-m1", order, True, None)
-
-
 def _suite_theorem3(order: int) -> list[VerificationReport]:
-    from .relations import mn_in_m1
+    from .relations import attempt, check_b_closed_forms, check_derivative_basis
+    from .relations import check_published_mn, check_z1_is_m1, mn_in_m1
 
-    reports = [_b_closed_forms_report()]
+    table = [("b-closed-forms", 12, check_b_closed_forms)]
     for n in range(1, 7):
-        reports.append(
-            _attempt(f"z0-derivative-basis-n{n}", order, lambda n=n: _check_oop(n, order))
+        table.append(
+            (f"z0-derivative-basis-n{n}", order, lambda n=n: check_derivative_basis(n, order))
         )
-
-    reports.append(_attempt("z1-over-z0-is-m1", order, lambda: _check_z1_shape(order)))
+    table.append(("z1-over-z0-is-m1", order, lambda: check_z1_is_m1(order)))
     for n in range(2, 6):
-        reports.append(_m1_identity_report(n, order))
-        reports.append(
-            _attempt(f"m{n}-in-m1-closure", order, lambda n=n: mn_in_m1(n, order))
-        )
-    return reports
+        table.append((f"m{n}-in-m1", order, lambda n=n: check_published_mn(n)))
+        table.append((f"m{n}-in-m1-closure", order, lambda n=n: mn_in_m1(n, order)))
+    return [attempt(*row) for row in table]
 
 
-def _b_closed_forms_report() -> VerificationReport:
-    """B[n][0] = n!, B[n][n−1] = n(3n−1)/2 and B[n][n] = 1 for n ≤ 12.
-
-    A failure names the first entry off its closed form; the triangle has no
-    λ-power, so ``first_failure_power`` stays ``None``.
-    """
-    from .relations import VerificationReport, b_table
-
-    table = b_table(12)
-    for n in range(13):
-        closed = {0: factorial(n), n: 1}
-        if n >= 1:
-            closed[n - 1] = (3 * n - 1) * n // 2
-        for k, want in sorted(closed.items()):
-            got = table.value(n, k)
-            if got != want:
-                return VerificationReport(
-                    "b-closed-forms", 12, False, None, detail=f"B[{n}][{k}]: {got} != {want}"
-                )
-    return VerificationReport("b-closed-forms", 12, True, None)
-
-
-def _check_oop(n: int, order: int) -> None:
-    """λⁿ Z₀⁽ⁿ⁾ = Σ_k (−1)^{n−k} B_{n,2k−1} R_{2k−1}, as truncated series."""
-    from .qft import z_series
-    from .relations import b_table, r_series
-    from .series import Series, _require_equal
-
-    z0 = z_series(0, order + n)
-    deriv = z0
-    for _ in range(n):
-        deriv = deriv.derivative()
-    lhs = deriv.shifted(n).truncate(order)
-    table = b_table(n)
-    rhs = Series.zero(order)
-    for k in range(n + 1):
-        rhs = rhs + r_series(2 * k - 1, order) * ((-1) ** (n - k) * table.value(n, k))
-    _require_equal(f"derivative-basis identity (n={n}): sides differ", lhs, rhs)
-
-
-def _check_z1_shape(order: int) -> None:
-    from .relations import M1Polynomial, zj_over_z0_in_m1
-
-    if zj_over_z0_in_m1(1, order) != M1Polynomial([[], [1]]):
-        raise ConsistencyError("Z₁/Z₀ should be exactly M₁")
-
-
-def _suite_tables(order: int) -> list[VerificationReport]:
-    from .qft import m_series, z_np_series
-    from .relations import report_from_difference
-    from .series import Series
+def _suite_tables() -> list[VerificationReport]:
+    from .relations import attempt, check_published_counts, check_published_znp
     from .tables import M_TABLES
 
-    reports = []
-    for n, row in M_TABLES.items():
-        published = Series([row[p // 2] if p % 2 == 0 else 0 for p in range(2 * len(row) - 1)])
-        reports.append(report_from_difference(f"m{n}-table", m_series(n, 12), published))
-    # The paper gives Z_{1,1} only at λ^5: compare that one term.
-    term = Series.monomial(z_np_series(1, 1, 5).coefficient(5), 5, 5)
-    reports.append(
-        report_from_difference("znp-1-1-coefficient", term, Series.monomial(90, 5, 5))
-    )
-    return reports
+    table = [(f"m{n}-table", 12, lambda n=n: check_published_counts(n)) for n in M_TABLES]
+    table.append(("znp-1-1-coefficient", 5, check_published_znp))
+    return [attempt(*row) for row in table]
+
+
+def _check_oracles_agree(n: int, e: int, threads: int) -> None:
+    """Enumeration, (2e)!-division, the contraction stream and Theorem 2 give one count."""
+    from .qft import m_count
+    from .ribbon import count_maps_by_division, enumerate_maps
+    from .wick import count_connected_classes
+
+    values = {
+        "enumeration": len(enumerate_maps(n, e)),
+        "division": count_maps_by_division(n, e),
+        "contraction": count_connected_classes(n, e, workers=threads),
+        "series": m_count(n, e),
+    }
+    if len(set(values.values())) != 1:
+        raise ConsistencyError(str(values), power=2 * e)
+
+
+def _check_fibers(n: int, e: int) -> None:
+    """The contractions reach exactly the enumerated classes, each (2e)! times."""
+    from .ribbon import enumerate_maps
+    from .wick import bijection_class_multiset
+
+    fibers = bijection_class_multiset(n, e)
+    classes = set(enumerate_maps(n, e))
+    full = factorial(2 * e)
+    off = sorted(size for size in fibers.values() if size != full)
+    if set(fibers) != classes or off:
+        raise ConsistencyError(
+            f"contractions reach {len(fibers)} classes, enumeration finds "
+            f"{len(classes)}; fiber sizes other than (2e)! = {full}: {off}",
+            power=2 * e,
+        )
 
 
 def _suite_bijection(threads: int) -> list[VerificationReport]:
-    from .qft import m_count
-    from .relations import VerificationReport
-    from .ribbon import count_maps_by_division, enumerate_maps
-    from .wick import bijection_class_multiset, count_connected_classes
+    from .relations import attempt
 
-    reports = []
-    for n, e in BIJECTION_CASES:
-        expected = m_count(n, e)
-        enum_count = len(enumerate_maps(n, e))
-        division = count_maps_by_division(n, e)
-        wick = count_connected_classes(n, e, workers=threads)
-        values = {
-            "enumeration": enum_count,
-            "division": division,
-            "contraction": wick,
-            "series": expected,
-        }
-        ok = len(set(values.values())) == 1
-        reports.append(
-            VerificationReport(
-                f"oracle-agreement-n{n}-e{e}",
-                2 * e,
-                ok,
-                None if ok else 2 * e,
-                detail="" if ok else str(values),
-            )
-        )
-    for n, e in FIBER_CASES:
-        fibers = bijection_class_multiset(n, e)
-        classes = set(enumerate_maps(n, e))
-        ok = set(fibers) == classes and all(
-            v == factorial(2 * e) for v in fibers.values()
-        )
-        failure = None if ok else 2 * e
-        reports.append(VerificationReport(f"fiber-size-n{n}-e{e}", 2 * e, ok, failure))
-    return reports
+    table = [
+        (f"oracle-agreement-n{n}-e{e}", 2 * e,
+         lambda n=n, e=e: _check_oracles_agree(n, e, threads))
+        for n, e in BIJECTION_CASES
+    ]
+    table += [
+        (f"fiber-size-n{n}-e{e}", 2 * e, lambda n=n, e=e: _check_fibers(n, e))
+        for n, e in FIBER_CASES
+    ]
+    return [attempt(*row) for row in table]
 
 
 def _cmd_verify(args) -> int:
@@ -358,7 +272,7 @@ def _cmd_verify(args) -> int:
     suites = {
         "ode": lambda: _suite_ode(order),
         "theorem3": lambda: _suite_theorem3(order),
-        "tables": lambda: _suite_tables(order),
+        "tables": _suite_tables,
         "bijection": lambda: _suite_bijection(args.threads),
     }
     selected = list(suites) if args.suite == "all" else [args.suite]

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
-from math import factorial
+from math import factorial, perm
 
 from .combinat import double_factorial
 from .errors import BoundExceededError, ConsistencyError
@@ -103,19 +103,12 @@ def z_np_series(n: int, p: int, order: int) -> Series:
         raise ValueError("n and p must be non-negative")
     if order < 0:
         raise ValueError("order must be non-negative")
-    coeffs = [Fraction(0)] * (order + 1)
-    if p % 2 == 0:
-        for k in range(order // 2 + 1):
-            coeffs[2 * k] = Fraction(
-                factorial(2 * k + n) * double_factorial(2 * k + p - 1),
-                factorial(2 * k),
-            )
-    else:
-        for k in range((order - 1) // 2 + 1):
-            coeffs[2 * k + 1] = Fraction(
-                factorial(2 * k + n + 1) * double_factorial(2 * k + p),
-                factorial(2 * k + 1),
-            )
+    # Term q, of p's parity, is (q+N)!/q!·(q+p−1)!!; the next q multiplies `odd` by q+p+1.
+    coeffs = [0] * (order + 1)
+    odd = double_factorial(p % 2 + p - 1)
+    for q in range(p % 2, order + 1, 2):
+        coeffs[q] = perm(q + n, n) * odd
+        odd *= q + p + 1
     return Series(coeffs)
 
 

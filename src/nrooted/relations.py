@@ -16,7 +16,11 @@ This module machine-checks the algebraic layer of the enumeration:
   M₀ and the normalized Z₀.
 
 Everything is exact; any route disagreement raises
-:class:`~nrooted.errors.ConsistencyError`.
+:class:`~nrooted.errors.ConsistencyError`.  Each ``check_*`` function is a
+check: it returns on a pass and raises one on a failure, with the first
+differing λ-power where there is one; :func:`attempt` reports its outcome.
+The checks against :mod:`~nrooted.tables` import it when they run, so that
+the ODE checks never load it.
 """
 
 from __future__ import annotations
@@ -25,11 +29,11 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd, lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .combinat import double_factorial
 from .errors import ConsistencyError
-from .qft import _z0_inverse, m0_series, m_series, z_series
+from .qft import _z0_inverse, m0_series, m_series, z_np_series, z_series
 from .series import (
     Series,
     _as_fraction,
@@ -47,6 +51,13 @@ __all__ = [
     "zj_over_z0_in_m1",
     "mn_in_m1",
     "VerificationReport",
+    "attempt",
+    "check_b_closed_forms",
+    "check_derivative_basis",
+    "check_z1_is_m1",
+    "check_published_mn",
+    "check_published_counts",
+    "check_published_znp",
     "verify_ode_m1",
     "verify_ode_m0",
     "verify_ode_z0",
@@ -112,6 +123,23 @@ def b_table(n_max: int) -> BTable:
     return BTable(tuple(rows[: n_max + 1]))
 
 
+def check_b_closed_forms() -> None:
+    """B[n][0] = n!, B[n][n−1] = n(3n−1)/2 and B[n][n] = 1 for n ≤ 12.
+
+    A failure names the first entry off its closed form; the triangle has no
+    λ-power, so the failure carries none.
+    """
+    table = b_table(12)
+    for n in range(13):
+        closed = {0: factorial(n), n: 1}
+        if n >= 1:
+            closed[n - 1] = (3 * n - 1) * n // 2
+        for k, want in sorted(closed.items()):
+            got = table.value(n, k)
+            if got != want:
+                raise ConsistencyError(f"B[{n}][{k}]: {got} != {want}")
+
+
 # ---------------------------------------------------------------------------
 # R-series
 # ---------------------------------------------------------------------------
@@ -145,6 +173,19 @@ def r_series(i: int, order: int) -> Series:
 
     _require_equal(f"r_series({i}): direct sum and Z_0 route differ", direct, alt)
     return direct
+
+
+def check_derivative_basis(n: int, order: int) -> None:
+    """λⁿ Z₀⁽ⁿ⁾ = Σ_k (−1)^{n−k} B_{n,2k−1} R_{2k−1}, as truncated series."""
+    deriv = z_series(0, order + n)
+    for _ in range(n):
+        deriv = deriv.derivative()
+    lhs = deriv.shifted(n).truncate(order)
+    table = b_table(n)
+    rhs = Series.zero(order)
+    for k in range(n + 1):
+        rhs = rhs + r_series(2 * k - 1, order) * ((-1) ** (n - k) * table.value(n, k))
+    _require_equal(f"derivative-basis identity (n={n}): sides differ", lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +367,12 @@ def zj_over_z0_in_m1(j: int, order: int) -> M1Polynomial:
     return _zj_table(j)
 
 
+def check_z1_is_m1(order: int) -> None:
+    """Z₁/Z₀, checked to ``order``, is exactly the polynomial M₁."""
+    if zj_over_z0_in_m1(1, order) != M1Polynomial([[], [1]]):
+        raise ConsistencyError("Z₁/Z₀ should be exactly M₁")
+
+
 @cache
 def _mn_table(n: int) -> M1Polynomial:
     """M_N, whatever the order, resumed from the lower M_i/i!; unchecked, so
@@ -364,8 +411,27 @@ def mn_in_m1(n: int, order: int) -> M1Polynomial:
     return total
 
 
+def check_published_mn(n: int) -> None:
+    """N!·λ^{2N−2}·M_N as built against its published row in
+    :data:`~nrooted.tables.M1_IDENTITIES`; a failure names the first differing
+    monomial, by λ-power and then M₁-power."""
+    from .tables import M1_IDENTITIES
+
+    shift = 2 * n - 2
+    built = {
+        (p + shift, i): c
+        for i, laurent in enumerate((_mn_table(n) * factorial(n)).coefficients)
+        for p, c in laurent.items()
+    }
+    published = {(lam, mpow): coeff for coeff, lam, mpow in M1_IDENTITIES[n]}
+    for lam, mpow in sorted(built.keys() | published.keys()):
+        got, want = built.get((lam, mpow), 0), published.get((lam, mpow), 0)
+        if got != want:
+            raise ConsistencyError(f"at λ^{lam}·M₁^{mpow}: {got} != {want}", power=lam)
+
+
 # ---------------------------------------------------------------------------
-# ODE residual verification
+# Reports, the published-table checks and the ODE residuals
 # ---------------------------------------------------------------------------
 
 
@@ -389,19 +455,45 @@ class VerificationReport(
         }
 
 
-def report_from_difference(identity: str, lhs: Series, rhs: Series) -> VerificationReport:
-    """Pass iff lhs and rhs agree to their common order.
+def attempt(identity: str, order: int, check: Callable[[], object]) -> VerificationReport:
+    """Run a check and report it: a pass if it returns, a failure carrying
+    the ``ConsistencyError``'s message and λ-power if it raises one."""
+    try:
+        check()
+    except ConsistencyError as exc:
+        return VerificationReport(identity, order, False, exc.power, detail=str(exc))
+    return VerificationReport(identity, order, True, None)
 
-    A failure names the first differing λ-power and both values there.
-    """
-    order = min(lhs.order, rhs.order)
+
+def require_agreement(lhs: Series, rhs: Series) -> None:
+    """A check that lhs and rhs agree at every power both know; a failure
+    names the first differing λ-power and both values there."""
     diff = first_difference(lhs, rhs)
-    if diff is None:
-        return VerificationReport(identity, order, True, None)
-    p, left, right = diff
-    return VerificationReport(
-        identity, order, False, p, detail=f"at λ^{p}: {left} != {right}"
-    )
+    if diff is not None:
+        p, left, right = diff
+        raise ConsistencyError(f"at λ^{p}: {left} != {right}", power=p)
+
+
+def report_from_difference(identity: str, lhs: Series, rhs: Series) -> VerificationReport:
+    """The report of :func:`require_agreement` at the common order of lhs and rhs."""
+    return attempt(identity, min(lhs.order, rhs.order), lambda: require_agreement(lhs, rhs))
+
+
+def check_published_counts(n: int) -> None:
+    """M_N through λ^12 against its published counts m_N(0..6) in
+    :data:`~nrooted.tables.M_TABLES`."""
+    from .tables import M_TABLES
+
+    row = M_TABLES[n]
+    published = Series([row[p // 2] if p % 2 == 0 else 0 for p in range(2 * len(row) - 1)])
+    require_agreement(m_series(n, 12), published)
+
+
+def check_published_znp() -> None:
+    """Z_{1,1} at λ^5, the one term of it the paper gives: 90."""
+    got = z_np_series(1, 1, 5).coefficient(5)
+    if got != 90:
+        raise ConsistencyError(f"at λ^5: {got} != 90", power=5)
 
 
 def verify_ode_m1(order: int, m1: Series | None = None) -> VerificationReport:

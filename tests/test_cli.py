@@ -15,6 +15,7 @@ import nrooted.cli
 import nrooted.relations
 import nrooted.ribbon
 import nrooted.tables
+import nrooted.wick
 from nrooted.cli import main
 from nrooted.errors import ConsistencyError
 from nrooted.relations import VerificationReport
@@ -532,6 +533,57 @@ class TestVerifyCommand:
             }
         ]
         assert err == "FAIL z1-over-z0-is-m1: Z₁/Z₀ should be exactly M₁\n"
+
+    def test_oracle_disagreement_names_every_count(self, capsys, monkeypatch):
+        # one more labeled class for N = 2, e = 2; the other three routes give 13
+        real = nrooted.ribbon.count_maps_by_division
+        monkeypatch.setattr(
+            nrooted.ribbon,
+            "count_maps_by_division",
+            lambda n, e: real(n, e) + ((n, e) == (2, 2)),
+        )
+        code, out, err = run(capsys, "verify", "--suite", "bijection")
+        assert code == 1
+        failed = [r for r in json.loads(out) if not r["pass"]]
+        assert failed == [
+            {
+                "identity": "oracle-agreement-n2-e2",
+                "order_checked": 4,
+                "pass": False,
+                "first_failure_power": 4,
+            }
+        ]
+        assert err == (
+            "FAIL oracle-agreement-n2-e2: {'enumeration': 13, 'division': 14, "
+            "'contraction': 13, 'series': 13}\n"
+        )
+
+    def test_short_fiber_names_its_size(self, capsys, monkeypatch):
+        # one of the two N = 1, e = 1 classes loses one of its 2! contractions
+        real = nrooted.wick.bijection_class_multiset
+
+        def perturbed(n, e):
+            fibers = real(n, e)
+            if (n, e) == (1, 1):
+                fibers[min(fibers)] -= 1
+            return fibers
+
+        monkeypatch.setattr(nrooted.wick, "bijection_class_multiset", perturbed)
+        code, out, err = run(capsys, "verify", "--suite", "bijection")
+        assert code == 1
+        failed = [r for r in json.loads(out) if not r["pass"]]
+        assert failed == [
+            {
+                "identity": "fiber-size-n1-e1",
+                "order_checked": 2,
+                "pass": False,
+                "first_failure_power": 2,
+            }
+        ]
+        assert err == (
+            "FAIL fiber-size-n1-e1: contractions reach 2 classes, enumeration finds 2; "
+            "fiber sizes other than (2e)! = 2: [1]\n"
+        )
 
 
 class TestConvertCommand:

@@ -1,7 +1,8 @@
 """Every import and private helper in the package is used, only
-``series.py`` touches the private storage of ``Series``, no module reads the
-environment, and each command loads only the modules it runs, with no
-``dataclasses`` among them.
+``series.py`` touches the private storage of ``Series``, ``cli.py`` imports
+no private name and only ``relations.attempt`` builds a verification report,
+no module reads the environment, and each command loads only the modules it
+runs, with no ``dataclasses`` among them.
 
 A stdlib stand-in for a linter.
 """
@@ -150,6 +151,73 @@ def test_scanner_reports_unreferenced_private_helpers():
         "b": "import a\nvalue = a._called_elsewhere()\n",
     }
     assert dead_private_helpers(sources) == ["a._dead", "a._Gone"]
+
+
+def private_imports(source: str) -> list[str]:
+    """Each ``_``-prefixed name imported from a package module."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "nrooted")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def calls_outside(source: str, callee: str, home: str) -> list[int]:
+    """The line of each call to ``callee``, by bare name or as an attribute,
+    outside every function named ``home``."""
+    found: list[int] = []
+
+    def visit(node: ast.AST, inside: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and not inside:
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == callee:
+                    found.append(child.lineno)
+            visit(child, inside or (isinstance(child, FUNCTIONS) and child.name == home))
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_cli_imports_no_private_name():
+    assert private_imports((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_only_attempt_builds_verification_reports():
+    calls = {
+        p.name: calls_outside(p.read_text(encoding="utf-8"), "VerificationReport", "attempt")
+        for p in PACKAGE_DIR.glob("*.py")
+    }
+    assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def test_scanner_reports_private_imports():
+    source = (
+        "import _thread\n"
+        "from collections import _chain\n"
+        "from .series import Series, _require_equal\n"
+        "from . import _hidden\n"
+        "def f():\n"
+        "    from nrooted.relations import _mn_table, mn_in_m1\n"
+    )
+    assert private_imports(source) == ["_require_equal", "_hidden", "_mn_table"]
+
+
+def test_scanner_reports_calls_outside_their_home():
+    source = (
+        "class Report(tuple):\n"
+        "    pass\n"
+        "def attempt(check):\n"
+        "    return Report(check())\n"
+        "def other():\n"
+        "    return relations.Report(1), Report\n"
+        "value = Report(2)\n"
+    )
+    assert calls_outside(source, "Report", "attempt") == [6, 7]
 
 
 def name_uses(source: str, names: set[str]) -> list[str]:

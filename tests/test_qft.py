@@ -101,6 +101,19 @@ class TestZNpSeries:
         s = z_np_series(2, 3, 9)
         assert all(s.coefficient(p) == 0 for p in range(0, 10, 2))
 
+    @pytest.mark.parametrize("p", [0, 1, 2, 5, 40, 41])
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_every_coefficient_is_its_factorial_quotient(self, n, p):
+        # (2k+N)!(2k+p−1)!!/(2k)! at λ^{2k} for even p; (2k+N+1)!(2k+p)!!/(2k+1)!
+        # at λ^{2k+1} for odd p
+        s = z_np_series(n, p, 11)
+        for q in range(12):
+            want = (
+                Fraction(factorial(q + n) * double_factorial(q + p - 1), factorial(q))
+                if q % 2 == p % 2 else 0
+            )
+            assert s.coefficient(q) == want
+
     def test_negative_arguments_rejected(self):
         with pytest.raises(ValueError):
             z_np_series(-1, 0, 4)

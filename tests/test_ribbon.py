@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -98,6 +99,24 @@ class TestValidate:
     def test_root_out_of_range_rejected(self):
         m = loop_map(roots=(3,))
         assert any("out of range" in msg for msg in validate(m))
+
+    @pytest.mark.parametrize(
+        "m, problems",
+        [
+            (RootedMap(0, (1,), (), ()), ["edgeless map must have empty alpha and sigma"]),
+            (RootedMap(0, (), (2,), ()), ["edgeless map must have empty alpha and sigma"]),
+            (RootedMap(0, (), (), (1,)), ["edgeless map must have an empty root tuple"]),
+            (RootedMap(2, (1, 1), (2, 1), (1,)), ["alpha is not a permutation of 1..2"]),
+            (RootedMap(2, (2, 1), (2,), (1,)), ["sigma is not a permutation of 1..2"]),
+            (
+                RootedMap(2, [2, 1], (2, 3), (1,)),
+                ["alpha is not a permutation of 1..2", "sigma is not a permutation of 1..2"],
+            ),
+            (RootedMap(2, (2, 1), (2, 1), ()), ["at least one root half-edge is required"]),
+        ],
+    )
+    def test_each_problem_is_named(self, m, problems):
+        assert validate(m) == problems
 
     def test_validate_never_raises(self):
         assert isinstance(validate(RootedMap(3, (1, 2), (), ())), list)
@@ -346,6 +365,22 @@ class TestSerialization:
         data = {"half_edges": 2, "alpha": [[1, 2]], "sigma": [[1, 2]], "roots": [1]}
         data[field].append([])
         with pytest.raises(ValueError, match=f"^{field}: a cycle must not be empty$"):
+            map_from_json(data)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([], "map JSON must be an object"),
+            ({"alpha": [1, 2]}, "alpha: expected a list of cycles (lists)"),
+            ({"sigma": "12"}, "sigma: expected a list of cycles (lists)"),
+            ({"alpha": [[1, 2], [2]]}, "alpha: element 2 appears in more than one cycle"),
+            ({"sigma": [[1], [2, 1]]}, "sigma: element 1 appears in more than one cycle"),
+        ],
+    )
+    def test_malformed_document_is_named(self, data, message):
+        if isinstance(data, dict):
+            data = {"half_edges": 2, "alpha": [[1, 2]], "sigma": [[1, 2]], "roots": [1], **data}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             map_from_json(data)
 
     def test_singleton_pairing_cycle_reported_as_fixed_point(self):

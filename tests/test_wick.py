@@ -1,6 +1,7 @@
 """Labeled-contraction oracle: streaming, connectivity, and the map bijection."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,21 @@ class TestContractionType:
         w = Contraction(1, 2, (1, 2), (1, 2, 3))
         with pytest.raises(ValueError):
             external_chains(w)
+
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            # (2, 1) is an involution on two vertices, but there are four
+            (Contraction(0, 4, (2, 1), (1, 2, 3, 4)),
+             "photon matching must cover exactly 4 vertices"),
+            (Contraction(1, 2, (2, 1), (1, 2)), "expected 3 electron targets"),
+            (Contraction(1, 2, (2, 1), (1, 1, 3)),
+             "electron targets must form a bijection onto the in-slots"),
+        ],
+    )
+    def test_malformed_contraction_is_named(self, w, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            is_connected(w)
 
 
 class TestEnumeration:
@@ -463,6 +479,26 @@ class TestSerialization:
         data = contraction_to_json(Contraction(10, 0, (), tuple(range(1, 11))))
         data["electron_targets"][0] = label
         with pytest.raises(ValueError, match="^electron_targets: malformed ket label"):
+            contraction_from_json(data)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([], "contraction JSON must be an object"),
+            ({"photon_pairs": [[1, 2, 3]]}, "photon_pairs: expected a list of [a, b] pairs"),
+            ({"photon_pairs": [[1, 2], 3]}, "photon_pairs: expected a list of [a, b] pairs"),
+            ({"photon_pairs": {}}, "photon_pairs: expected a list of [a, b] pairs"),
+            ({"n_vertices": 4, "photon_pairs": [[1, 2]]},
+             "photon_pairs: every vertex must be matched"),
+            # each entry parses on its own; only the whole list is not a bijection
+            ({"electron_targets": [1, 1, "ket1"]},
+             "electron targets must form a bijection onto the in-slots"),
+        ],
+    )
+    def test_malformed_document_is_named(self, data, message):
+        if isinstance(data, dict):
+            data = {**contraction_to_json(LOOP_CONTRACTION), **data}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             contraction_from_json(data)
 
     def test_dot_snapshot(self):
