@@ -1,4 +1,4 @@
-"""Permutations on {1..n} as tuples, plus pairings and a union-find.
+"""Permutations on {1..n} as tuples, plus pairings and their connectivity.
 
 A permutation on n points is stored as a tuple `p` of length n with
 ``p[i - 1]`` the image of i (images are 1-based as well).  This matches the
@@ -108,28 +108,50 @@ def fixed_point_free_involutions(n: int) -> Iterator[Perm]:
 
 
 class UnionFind:
-    """Union-find over {0..n-1} with path halving and union by size."""
+    """Union-find over {0..n-1} with path halving."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
-        self.size = [1] * n
-        self.components = n
 
-    def find(self, x: int) -> int:
+    def join(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """Merge the classes of each pair; return how many pairs already were one class."""
         parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+        closed = 0
+        for a, b in pairs:
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            closed += a == b
+            parent[b] = a
+        return closed
 
-    def union(self, a: int, b: int) -> bool:
-        """Merge the classes of a and b; False if they already were one class."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.components -= 1
-        return True
+
+def _pairing_components(n_paths: int, n: int, matching: Perm, targets) -> tuple[int, int]:
+    """(components, independent cycles) of points 1..n joined by arrows and a matching.
+
+    ``targets[k]`` starts path k (k < n_paths), ``targets[n_paths + p - 1]`` is
+    the arrow out of point p, and an entry above n ends a path.  Each point is
+    labelled by its arrow block, a path or a cycle; the blocks are then joined
+    along ``matching`` from both ends of each pair (the second end always finds
+    one class).  Cycles = arrow cycles + pairs that close one, for an involution
+    ``matching``; components hold for any permutation.  A map has no paths.
+    """
+    block = [-1] * n
+    for k in range(n_paths):
+        t = targets[k]
+        while t <= n:
+            block[t - 1] = k
+            t = targets[n_paths + t - 1]
+    blocks = n_paths
+    for p in range(n):
+        if block[p] < 0:
+            q = p
+            while block[q] < 0:
+                block[q] = blocks
+                q = targets[n_paths + q] - 1
+            blocks += 1
+    closed = UnionFind(blocks).join(zip(block, [block[b - 1] for b in matching]))
+    return blocks - n + closed, blocks - n_paths + closed - n // 2

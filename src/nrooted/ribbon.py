@@ -27,7 +27,7 @@ from math import factorial
 from .errors import BoundExceededError, ConsistencyError
 from .permutations import (
     Perm,
-    UnionFind,
+    _pairing_components,
     compose,
     cycles_of,
     fixed_point_free_involutions,
@@ -256,11 +256,7 @@ def _check_bounds(n_roots: int, edges: int) -> None:
 
 
 def _is_transitive(alpha: Perm, sigma: Perm, n: int) -> bool:
-    uf = UnionFind(n)
-    for h in range(n):
-        uf.union(h, alpha[h] - 1)
-        uf.union(h, sigma[h] - 1)
-    return uf.components == 1
+    return _pairing_components(0, n, alpha, sigma)[0] == 1
 
 
 def _roots_in_distinct_cycles(sigma: Perm, roots: tuple[int, ...]) -> bool:

@@ -21,6 +21,7 @@ contractions — those whose chain from bra_k ends at ket_k for every k:
 Connectivity treats bra_k and ket_k as separate leaf nodes: a chain that
 enters at bra_k and leaves at ket_j is a path, never a cycle, so e.g. the
 two bare crossed chains at N=2, e=0 form two components and are disconnected.
+``_components`` also decides a map's transitivity: a map has no external lines.
 Counting connected contractions without the alignment restriction would
 overcount every class by the N! ways to assign chain ends to kets; the
 aligned convention is the one under which the (2e)!-fiber statement and the
@@ -38,7 +39,7 @@ from typing import TYPE_CHECKING
 from .errors import BoundExceededError, ConsistencyError
 from .permutations import (
     Perm,
-    UnionFind,
+    _pairing_components as _components,
     cycles_of,
     fixed_point_free_involutions,
     is_involution_without_fixed_points,
@@ -149,26 +150,6 @@ def _iter_contractions(n_external: int, edges: int):
             yield Contraction(n_external, n, matching, targets)
 
 
-def _components(big_n: int, n: int, photon: Perm, targets) -> tuple[int, int]:
-    """(number of components, number of independent cycles) of the diagram graph.
-
-    Nodes: bra₁..bra_N, then vertices 1..2e, then ket₁..ket_N — bra and ket
-    ends are distinct leaves.  Out-slot s (0-based) is node s and in-slot t
-    is node N + t − 1.  Edges: photon pairs and electron arrows.  Unchecked:
-    the caller vouches for the contraction.
-    """
-    uf = UnionFind(n + 2 * big_n)
-    offset = big_n - 1
-    for a, b in enumerate(photon, start=1):
-        if a < b:  # disjoint pairs, joined first: they never close a cycle
-            uf.union(offset + a, offset + b)
-    cycles = 0
-    for s, t in enumerate(targets):
-        if not uf.union(s, offset + t):
-            cycles += 1
-    return uf.components, cycles
-
-
 def _chains(big_n: int, n: int, targets) -> list[tuple[tuple[int, ...], int]]:
     """For each bra_k in order: (vertices passed through, index of the ket reached)."""
     chains = []
@@ -186,7 +167,7 @@ def _aligned_connected(big_n: int, n: int, photon: Perm, targets) -> bool:
     """The one filter of both oracles: is the contraction aligned and connected?
 
     Walks the chains first and stops at the first that ends at a wrong ket;
-    only aligned contractions reach the union-find pass.  Unchecked.
+    only aligned contractions reach the connectivity pass.  Unchecked.
     """
     for k in range(1, big_n + 1):
         t = targets[k - 1]

@@ -1,6 +1,7 @@
 """Every import and private helper in the package is used, only
 ``series.py`` touches the private storage of ``Series``, ``cli.py`` imports
-no private name and only ``relations.attempt`` builds a verification report,
+no private name, only ``relations.attempt`` builds a verification report and
+only ``permutations._pairing_components`` a union-find,
 no module reads the environment, and each command loads only the modules it
 runs, with no ``dataclasses`` among them.
 
@@ -193,6 +194,17 @@ def test_only_attempt_builds_verification_reports():
         for p in PACKAGE_DIR.glob("*.py")
     }
     assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def test_one_connectivity_routine_builds_the_union_find():
+    from nrooted.permutations import UnionFind
+
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
+    # no function is named "", so every call counts
+    anywhere = {name: calls_outside(source, "UnionFind", "") for name, source in sources.items()}
+    assert [name for name, lines in anywhere.items() for _ in lines] == ["permutations.py"]
+    assert calls_outside(sources["permutations.py"], "UnionFind", "_pairing_components") == []
+    assert not hasattr(UnionFind, "find") and not hasattr(UnionFind, "union")
 
 
 def test_scanner_reports_private_imports():
