@@ -11,7 +11,7 @@ and cross-validates every formula against independent brute-force oracles:
 * :mod:`nrooted.relations` — machine-checked structural identities
   (integer triangle, double-factorial series, polynomials in M₁, ODEs);
 * :mod:`nrooted.ribbon`   — maps as permutation pairs, canonical labeling,
-  enumeration by a scan over labelings;
+  enumeration by orderly generation of canonical labelings;
 * :mod:`nrooted.wick`     — the pairing/contraction model whose connected
   classes are counted by the same series;
 * :mod:`nrooted.tables`   — the paper's count tables and M₁ identities;

@@ -42,8 +42,7 @@ MAX_THEOREM2_EDGES = 128
 
 #: Largest ``--order`` of ``series`` and ``verify``, and largest ``--p`` of
 #: ``series --family znp``.  ``m_series(16, 256)`` takes about 0.5 s and
-#: ``verify --suite all --order 256`` about 1.1 s, most of it the bijection
-#: suite, which does not depend on the order.  At ``--p`` 2048 every
+#: ``verify --suite all --order 256`` about 0.35 s.  At ``--p`` 2048 every
 #: coefficient up to ``MAX_ORDER`` stays under Python's 4300-digit limit on
 #: printing an int (2569 is the last that does at ``--n`` 16), and
 #: ``z_np_series(16, 2048, 256)`` takes about 2 ms.
@@ -82,6 +81,12 @@ class CountReport(
 def _check_bound(flag: str, value: int, bound: int) -> None:
     if value > bound:
         raise ValueError(f"{flag} {value} exceeds its bound of {bound}")
+
+
+def _check_threads(threads: int) -> None:
+    # --threads has no effect, but a value below 1 is a usage error
+    if threads < 1:
+        raise ValueError(f"worker count must be at least 1, got {threads}")
 
 
 def _checked_order(args) -> int:
@@ -173,9 +178,11 @@ def _cmd_count(args) -> int:
                 f"enumeration found {value} classes but labeled division gives {division}"
             )
     else:  # oracle-wick
-        from .wick import count_connected_classes
+        from .wick import count_connected_classes, enumerate_contractions
 
-        value = count_connected_classes(n, e, workers=args.threads)
+        enumerate_contractions(n, e)  # checks its bounds at once, before --threads
+        _check_threads(args.threads)
+        value = count_connected_classes(n, e)
 
     elapsed_ms = int(round((time.monotonic() - started) * 1000))
     report = CountReport(n, e, args.method, value, profile, elapsed_ms)
@@ -219,7 +226,7 @@ def _suite_tables() -> list[VerificationReport]:
     return [attempt(*row) for row in table]
 
 
-def _check_oracles_agree(n: int, e: int, threads: int) -> None:
+def _check_oracles_agree(n: int, e: int) -> None:
     """Enumeration, (2e)!-division, the contraction stream and Theorem 2 give one count."""
     from .qft import m_count
     from .ribbon import count_maps_by_division, enumerate_maps
@@ -228,7 +235,7 @@ def _check_oracles_agree(n: int, e: int, threads: int) -> None:
     values = {
         "enumeration": len(enumerate_maps(n, e)),
         "division": count_maps_by_division(n, e),
-        "contraction": count_connected_classes(n, e, workers=threads),
+        "contraction": count_connected_classes(n, e),
         "series": m_count(n, e),
     }
     if len(set(values.values())) != 1:
@@ -255,9 +262,9 @@ def _check_fibers(n: int, e: int) -> None:
 def _suite_bijection(threads: int) -> list[VerificationReport]:
     from .relations import attempt
 
+    _check_threads(threads)
     table = [
-        (f"oracle-agreement-n{n}-e{e}", 2 * e,
-         lambda n=n, e=e: _check_oracles_agree(n, e, threads))
+        (f"oracle-agreement-n{n}-e{e}", 2 * e, lambda n=n, e=e: _check_oracles_agree(n, e))
         for n, e in BIJECTION_CASES
     ]
     table += [

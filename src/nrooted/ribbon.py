@@ -30,7 +30,6 @@ from .permutations import (
     _pairing_components,
     compose,
     cycles_of,
-    fixed_point_free_involutions,
     from_cycles,
     inverse,
 )
@@ -51,7 +50,7 @@ __all__ = [
     "map_from_json",
 ]
 
-#: Ceiling on half-edges of the labeled scans in this module (e ≤ 4).
+#: Ceiling on half-edges of this module's oracles (e ≤ 4).
 MAX_HALF_EDGES = 8
 
 
@@ -274,39 +273,15 @@ def _roots_in_distinct_cycles(sigma: Perm, roots: tuple[int, ...]) -> bool:
     return True
 
 
-def _is_canonical_candidate(alpha: Perm, sigma: Perm, n_roots: int, n: int) -> bool:
-    """Is (alpha, sigma, roots=(1..N)) already in canonical labeling?
-
-    True iff the rooted breadth-first traversal visits half-edges in exactly
-    the order 1, 2, …, n.  The traversal is seeded with all N roots, so it
-    covers the union of their components; with a single root that implies
-    transitivity, but for N ≥ 2 the caller must still check it.
-    """
-    visited = [False] * (n + 1)
-    for r in range(1, n_roots + 1):
-        visited[r] = True
-    next_expected = n_roots + 1
-    queue: deque[int] = deque(range(1, n_roots + 1))
-    while queue:
-        h = queue.popleft()
-        for nxt in (sigma[h - 1], alpha[h - 1]):
-            if not visited[nxt]:
-                if nxt != next_expected:
-                    return False
-                visited[nxt] = True
-                next_expected += 1
-                queue.append(nxt)
-    return next_expected == n + 1
-
-
 def enumerate_maps(n_roots: int, edges: int) -> list[RootedMap]:
     """All isomorphism classes of N-rooted maps with the given edge count.
 
-    Returns one canonical representative per class, sorted.  The scan
-    enumerates (alpha, sigma) pairs and keeps exactly the labelings that are
-    already canonical with roots (1..N) — each class has precisely one such
-    labeling.  The contraction oracle of :mod:`nrooted.wick` is the
-    independent check on this list.
+    Returns one canonical representative per class, sorted: the one labeling
+    with roots (1..N) that the rooted breadth-first traversal visits in label
+    order.  These are built directly, taking half-edge h in label order and
+    sending it under σ, then α, to a visited label still free for that
+    permutation or to the next label.  The contraction oracle of
+    :mod:`nrooted.wick` is the independent check on this list.
     """
     _check_bounds(n_roots, edges)
     if edges == 0:
@@ -317,15 +292,32 @@ def enumerate_maps(n_roots: int, edges: int) -> list[RootedMap]:
 
     found: list[RootedMap] = []
     roots = tuple(range(1, n_roots + 1))
-    for alpha in fixed_point_free_involutions(n):
-        for images in itertools.permutations(range(1, n + 1)):
-            sigma: Perm = images
-            if not _roots_in_distinct_cycles(sigma, roots):
-                continue
-            if _is_canonical_candidate(alpha, sigma, n_roots, n) and (
-                n_roots == 1 or _is_transitive(alpha, sigma, n)
-            ):
-                found.append(RootedMap(n, alpha, sigma, roots))
+    alpha = [0] * (n + 1)
+    preimage = [0] * (n + 1)  # σ⁻¹, 0 where not chosen yet
+
+    def extend(h: int, new: int) -> None:
+        # σ and α are fixed on half-edges 1..h-1; labels 1..new-1 are visited
+        if h > n:
+            a, s = tuple(alpha[1:]), inverse(tuple(preimage[1:]))
+            # one root's traversal covers its component: N = 1 is transitive
+            if n_roots == 1 or (_roots_in_distinct_cycles(s, roots) and _is_transitive(a, s, n)):
+                found.append(RootedMap(n, a, s, roots))
+        elif h < new:  # else the traversal ran dry before visiting every half-edge
+            for image in range(1, min(new, n) + 1):
+                if not preimage[image]:
+                    preimage[image] = h
+                    after = new + (image == new)
+                    if alpha[h]:
+                        extend(h + 1, after)
+                    else:
+                        for x in range(h + 1, min(after, n) + 1):
+                            if not alpha[x]:
+                                alpha[h], alpha[x] = x, h
+                                extend(h + 1, after + (x == after))
+                                alpha[h] = alpha[x] = 0
+                    preimage[image] = 0
+
+    extend(1, n_roots + 1)
     return sorted(found)
 
 
@@ -334,28 +326,29 @@ def count_maps_by_division(n_roots: int, edges: int) -> int:
 
     Every isomorphism class of N-rooted maps has exactly (2e)! labeled
     representatives, because relabelings act freely (rooted maps have no
-    nontrivial automorphisms).  The labeled total is accumulated without
-    building any canonical form, so this is independent of enumerate_maps.
+    nontrivial automorphisms).  All pairings α are conjugate, so each carries
+    the same share: σ is scanned against one α.  No canonical form is built,
+    so this is independent of enumerate_maps.
     """
     _check_bounds(n_roots, edges)
     if edges == 0:
         return 1 if n_roots == 1 else 0
     n = 2 * edges
+    alpha = tuple(h + 1 if h % 2 else h - 1 for h in range(1, n + 1))  # (1 2)(3 4)…
 
     total = 0
-    for alpha in fixed_point_free_involutions(n):
-        for images in itertools.permutations(range(1, n + 1)):
-            sigma: Perm = images
-            if not _is_transitive(alpha, sigma, n):
-                continue
-            sizes = [len(c) for c in cycles_of(sigma)]
-            # Ordered N-tuples of roots in distinct cycles:
-            # N! * e_N(cycle sizes), via the elementary symmetric polynomial.
-            elementary = [1] + [0] * n_roots
-            for s in sizes:
-                for k in range(min(n_roots, len(sizes)), 0, -1):
-                    elementary[k] += elementary[k - 1] * s
-            total += factorial(n_roots) * elementary[n_roots]
+    for sigma in itertools.permutations(range(1, n + 1)):
+        if not _is_transitive(alpha, sigma, n):
+            continue
+        sizes = [len(c) for c in cycles_of(sigma)]
+        # Ordered N-tuples of roots in distinct cycles:
+        # N! * e_N(cycle sizes), via the elementary symmetric polynomial.
+        elementary = [1] + [0] * n_roots
+        for s in sizes:
+            for k in range(min(n_roots, len(sizes)), 0, -1):
+                elementary[k] += elementary[k - 1] * s
+        total += factorial(n_roots) * elementary[n_roots]
+    total *= factorial(n) // (2**edges * factorial(edges))  # (2e−1)!! pairings
 
     denom = factorial(n)
     if total % denom != 0:

@@ -31,7 +31,6 @@ series coefficients come out exactly.
 from __future__ import annotations
 
 import itertools
-import os
 from collections import namedtuple
 from math import factorial
 from typing import TYPE_CHECKING
@@ -306,39 +305,23 @@ def _count_for_matching(args: tuple[int, int, Perm]) -> int:
     return count
 
 
-def count_connected_classes(n_external: int, edges: int, workers: int = 1) -> int:
+def count_connected_classes(n_external: int, edges: int) -> int:
     """Number of map classes counted through the contraction oracle.
 
     Counts aligned connected contractions and divides by (2e)!; the quotient
-    is exact because vertex relabelings act freely on them.  ``workers > 1``
-    splits the stream by photon matching across processes, never more than
-    there are matchings or CPUs in the process's affinity mask; the result is
-    independent of the worker count.
+    is exact because vertex relabelings act freely on them.  All photon
+    matchings are conjugate, so each has the same share: one is streamed.
     """
     _check_bounds(n_external, edges)
     if n_external < 1:
         raise ValueError("count_connected_classes requires n_external >= 1")
-    if workers < 1:
-        raise ValueError(f"worker count must be at least 1, got {workers}")
     n = 2 * edges
     if edges == 0:
         return 1 if n_external == 1 else 0
 
-    tasks = [
-        (n_external, n, matching) for matching in fixed_point_free_involutions(n)
-    ]
-    # the CPUs this process may run on: its affinity mask where the OS has one
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    processes = min(workers, len(tasks), cpus or 1)
-    if processes > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(processes=processes) as pool:
-            per_matching = pool.map(_count_for_matching, tasks)
-        total = sum(per_matching)
-    else:
-        total = sum(_count_for_matching(t) for t in tasks)
-
+    matching = next(fixed_point_free_involutions(n))  # (1 2)(3 4)…
+    total = _count_for_matching((n_external, n, matching))
+    total *= factorial(n) // (2**edges * factorial(edges))  # (2e−1)!! matchings
     denom = factorial(n)
     if total % denom != 0:
         raise ConsistencyError(

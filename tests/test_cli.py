@@ -349,6 +349,14 @@ class TestVerifyCommand:
         assert err == ""
         assert all(r["pass"] for r in json.loads(out))
 
+    @pytest.mark.parametrize("suite,code", [("ode", 0), ("bijection", 2), ("all", 2)])
+    def test_threads_below_one_is_usage_error_where_the_oracles_run(self, capsys, suite, code):
+        # --threads has no effect; below 1 it is rejected where the contraction oracle runs
+        code_seen, out, err = run(capsys, "verify", "--suite", suite, "--threads", "0")
+        assert code_seen == code
+        if code:
+            assert (out, err) == ("", "error: worker count must be at least 1, got 0\n")
+
     def test_all_suite_is_union(self, capsys):
         _, out, _ = run(capsys, "verify", "--suite", "all")
         names = {r["identity"] for r in json.loads(out)}

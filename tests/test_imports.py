@@ -2,8 +2,8 @@
 ``series.py`` touches the private storage of ``Series``, ``cli.py`` imports
 no private name, only ``relations.attempt`` builds a verification report and
 only ``permutations._pairing_components`` a union-find,
-no module reads the environment, and each command loads only the modules it
-runs, with no ``dataclasses`` among them.
+no module reads the environment or starts a thread or process, and each
+command loads only the modules it runs, with no ``dataclasses`` among them.
 
 A stdlib stand-in for a linter.
 """
@@ -301,6 +301,44 @@ def test_scanner_reports_environment_reads():
     assert name_uses(source, ENVIRONMENT_READS) == [
         "2:environ", "2:getenv", "3:environ", "4:getenv", "5:environ",
     ]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level name of every absolute import in ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+#: Every oracle counts in one process, so none may start a thread or process.
+CONCURRENCY = {"multiprocessing", "concurrent", "threading", "subprocess"}
+
+
+def test_no_module_starts_threads_or_processes():
+    imports = {p.name: imported_modules(p.read_text(encoding="utf-8")) & CONCURRENCY
+               for p in PACKAGE_DIR.glob("*.py")}
+    assert {name: found for name, found in imports.items() if found} == {}
+
+
+def test_ribbon_builds_maps_without_walking_pairings():
+    # enumerate_maps generates canonical maps; the division oracle fixes one α
+    source = (PACKAGE_DIR / "ribbon.py").read_text(encoding="utf-8")
+    assert name_uses(source, {"fixed_point_free_involutions"}) == []
+
+
+def test_scanner_reports_imported_modules():
+    source = (
+        "import os.path, json as j\n"
+        "from concurrent.futures import Executor\n"
+        "from . import wick\n"
+        "def f():\n"
+        "    import multiprocessing\n"
+    )
+    assert imported_modules(source) == {"os", "json", "concurrent", "multiprocessing"}
 
 
 def modules_after(code: str, *argv: str, stdin: str = "") -> list[str]:

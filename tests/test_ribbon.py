@@ -1,13 +1,17 @@
 """Rooted-map structures: validation, invariants, canonical labels, oracles."""
 
+import itertools
 import json
 import random
 import re
+from collections import deque
+from math import factorial, prod
 
 import pytest
 
 import nrooted.ribbon
 from nrooted.errors import BoundExceededError, ConsistencyError
+from nrooted.permutations import cycles_of, fixed_point_free_involutions
 from nrooted.qft import m_count
 from nrooted.ribbon import (
     MAX_HALF_EDGES,
@@ -24,6 +28,7 @@ from nrooted.ribbon import (
     relabel,
     validate,
 )
+from nrooted.ribbon import _is_transitive
 
 # A three-root map on six edges used as the main worked example.
 EXAMPLE_JSON = {
@@ -226,7 +231,49 @@ class TestRelabel:
             relabel(example_map, (1, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12))
 
 
+def reference_is_canonical(alpha, sigma, n_roots: int, n: int) -> bool:
+    """Does the rooted breadth-first traversal from roots (1..N) visit
+    half-edges in exactly the order 1, 2, …, n?"""
+    visited = [False] * (n + 1)
+    for r in range(1, n_roots + 1):
+        visited[r] = True
+    next_expected = n_roots + 1
+    queue = deque(range(1, n_roots + 1))
+    while queue:
+        h = queue.popleft()
+        for nxt in (sigma[h - 1], alpha[h - 1]):
+            if not visited[nxt]:
+                if nxt != next_expected:
+                    return False
+                visited[nxt] = True
+                next_expected += 1
+                queue.append(nxt)
+    return next_expected == n + 1
+
+
+def reference_enumeration(n_roots: int, edges: int) -> list[RootedMap]:
+    """The labeled scan: every (α, σ) kept when it is already canonical with
+    roots (1..N), the roots lie in distinct σ-cycles and the map is transitive."""
+    n = 2 * edges
+    if n_roots > n:
+        return []  # each root is a half-edge of its own
+    roots = tuple(range(1, n_roots + 1))
+    return sorted(
+        RootedMap(n, alpha, sigma, roots)
+        for alpha in fixed_point_free_involutions(n)
+        for sigma in itertools.permutations(range(1, n + 1))
+        if reference_is_canonical(alpha, sigma, n_roots, n)
+        and validate(RootedMap(n, alpha, sigma, roots)) == []
+    )
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize(
+        "n_roots,edges", [(n, e) for e in range(1, 4) for n in range(1, 2 * e + 2)]
+    )
+    def test_matches_the_labeled_scan(self, n_roots, edges):
+        assert enumerate_maps(n_roots, edges) == reference_enumeration(n_roots, edges)
+
     @pytest.mark.parametrize(
         "n_roots,edges,expected",
         [(1, 0, 1), (1, 1, 2), (1, 2, 10), (2, 1, 1), (2, 2, 13), (3, 2, 6)],
@@ -278,6 +325,28 @@ class TestDivisionOracle:
     def test_bound_enforced(self):
         with pytest.raises(BoundExceededError):
             count_maps_by_division(1, 5)
+
+    @pytest.mark.parametrize("edges", [1, 2, 3])
+    def test_every_pairing_has_the_same_share(self, edges):
+        # all pairings α are conjugate; count_maps_by_division scans one
+        n = 2 * edges
+        per_alpha: dict[int, list[int]] = {1: [], 2: [], 3: []}
+        for alpha in fixed_point_free_involutions(n):
+            totals = dict.fromkeys(per_alpha, 0)
+            for sigma in itertools.permutations(range(1, n + 1)):
+                if not _is_transitive(alpha, sigma, n):
+                    continue
+                sizes = [len(c) for c in cycles_of(sigma)]
+                for n_roots in totals:
+                    # ordered roots in distinct cycles: a size per ordered pick of cycles
+                    picks = itertools.permutations(sizes, n_roots)
+                    totals[n_roots] += sum(prod(pick) for pick in picks)
+            for n_roots, total in totals.items():
+                per_alpha[n_roots].append(total)
+        for n_roots, totals in per_alpha.items():
+            share = 2**edges * factorial(edges) * m_count(n_roots, edges)
+            assert set(totals) == {share}
+            assert sum(totals) == factorial(n) * count_maps_by_division(n_roots, edges)
 
     def test_indivisible_labeled_total_is_a_consistency_error(self, monkeypatch):
         # only the identity σ passes: 3 matchings × 4 root choices = 12 < 4!

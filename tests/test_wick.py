@@ -8,6 +8,7 @@ import pytest
 
 import nrooted.wick
 from nrooted.errors import BoundExceededError, ConsistencyError
+from nrooted.permutations import fixed_point_free_involutions
 from nrooted.qft import m_count, z_series
 from nrooted.ribbon import RootedMap, canonical_form, enumerate_maps, point_map
 from nrooted.wick import (
@@ -238,10 +239,6 @@ class TestCounting:
         assert count_connected_classes(n_external, edges) == expected
         assert count_connected_classes(n_external, edges) == m_count(n_external, edges)
 
-    def test_parallel_workers_agree(self):
-        assert count_connected_classes(1, 2, workers=2) == 10
-        assert count_connected_classes(2, 2, workers=3) == 13
-
     def test_zero_external_rejected(self):
         with pytest.raises(ValueError):
             count_connected_classes(0, 1)
@@ -255,54 +252,19 @@ class TestCounting:
         ):
             count_connected_classes(1, 2)
 
-    @staticmethod
-    def record_pool_sizes(monkeypatch) -> list:
-        """Replace ``multiprocessing.Pool``; the returned list gets each requested size."""
-        sizes = []
-
-        class RecordingPool:
-            """Records the requested size and maps in-process; starts nothing."""
-
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return [fn(t) for t in tasks]
-
-        monkeypatch.setattr("multiprocessing.Pool", RecordingPool)
-        return sizes
-
     @pytest.mark.parametrize(
-        "cpus,pool_sizes",
-        [(64, [3]), (2, [2]), (None, [])],  # (1, 2) has 3 photon matchings
+        "n_external,edges", [(n, e) for e in range(4) for n in range(1, 8 - 2 * e)]
     )
-    def test_worker_count_is_clamped(self, monkeypatch, cpus, pool_sizes):
-        # cpus is the affinity mask's size (None: a one-CPU mask); os.cpu_count
-        # also counts the CPUs outside the mask
-        sizes = self.record_pool_sizes(monkeypatch)
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus or 1)))
-        monkeypatch.setattr("os.cpu_count", lambda: 1024)
-        assert count_connected_classes(1, 2, workers=10**6) == 10
-        assert sizes == pool_sizes
-
-    @pytest.mark.parametrize("cpus,pool_sizes", [(2, [2]), (None, [])])
-    def test_cpu_count_caps_without_an_affinity_mask(self, monkeypatch, cpus, pool_sizes):
-        sizes = self.record_pool_sizes(monkeypatch)
-        monkeypatch.delattr("os.sched_getaffinity", raising=False)
-        monkeypatch.setattr("os.cpu_count", lambda: cpus)
-        assert count_connected_classes(1, 2, workers=10**6) == 10
-        assert sizes == pool_sizes
-
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_nonpositive_workers_rejected(self, workers):
-        with pytest.raises(ValueError, match="at least 1"):
-            count_connected_classes(1, 1, workers=workers)
+    def test_every_matching_has_the_same_share(self, n_external, edges):
+        # all photon matchings are conjugate; count_connected_classes streams one
+        n = 2 * edges
+        per_matching = [
+            nrooted.wick._count_for_matching((n_external, n, matching))
+            for matching in fixed_point_free_involutions(n)
+        ]
+        share = 2**edges * factorial(edges) * m_count(n_external, edges)
+        assert set(per_matching) == {share}
+        assert sum(per_matching) == factorial(n) * count_connected_classes(n_external, edges)
 
     @pytest.mark.parametrize(
         "n_external,edges,expected",
