@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the JSON-object preamble shared across the package."""
 
 from __future__ import annotations
 
@@ -23,3 +23,15 @@ class ConsistencyError(RuntimeError):
 
 class BoundExceededError(ValueError):
     """An exhaustive enumeration was requested beyond its size guardrail."""
+
+
+def _require_json_object(data, kind: str, keys: set[str]) -> None:
+    """Raise ValueError unless ``data`` is a JSON object with exactly ``keys``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} JSON must be an object")
+    missing = keys - data.keys()
+    if missing:
+        raise ValueError(f"{kind} JSON missing keys: {sorted(missing)}")
+    extra = data.keys() - keys
+    if extra:
+        raise ValueError(f"{kind} JSON has unknown keys: {sorted(extra)}")

@@ -80,31 +80,25 @@ def fixed_point_free_involutions(n: int) -> Iterator[Perm]:
     """Yield all (n-1)!! fixed-point-free involutions of {1..n} (n even).
 
     Deterministic order: the smallest unmatched point is always paired next,
-    with partners tried in increasing order.  Iterative, stack-driven.
+    with partners tried in increasing order.  Recursive, over one image buffer.
     """
     if n % 2 != 0:
         raise ValueError("a fixed-point-free involution needs an even ground set")
-    if n == 0:
-        yield ()
-        return
-    # Stack of (pairs-so-far, frozenset of unused points as sorted tuple).
-    stack: list[tuple[list[tuple[int, int]], tuple[int, ...]]] = [([], tuple(range(1, n + 1)))]
-    while stack:
-        pairs, free = stack.pop()
-        if not free:
-            images = [0] * n
-            for a, b in pairs:
-                images[a - 1] = b
-                images[b - 1] = a
-            yield tuple(images)
-            continue
-        first = free[0]
-        rest = free[1:]
-        # Push partners in reverse so the smallest partner pops first.
-        for idx in range(len(rest) - 1, -1, -1):
-            partner = rest[idx]
-            remaining = rest[:idx] + rest[idx + 1:]
-            stack.append((pairs + [(first, partner)], remaining))
+    images = [0] * (n + 1)  # images[p] for points 1..n, 0 while unmatched
+
+    def pair(first: int) -> Iterator[Perm]:
+        while first <= n and images[first]:
+            first += 1
+        if first > n:
+            yield tuple(images[1:])
+            return
+        for partner in range(first + 1, n + 1):
+            if not images[partner]:
+                images[first], images[partner] = partner, first
+                yield from pair(first + 1)
+                images[first] = images[partner] = 0
+
+    yield from pair(1)
 
 
 class UnionFind:

@@ -34,7 +34,7 @@ from math import factorial, perm
 
 from .combinat import double_factorial
 from .errors import BoundExceededError, ConsistencyError
-from .series import Series, _require_equal, log_coefficients
+from .series import Series, log_coefficients, require_agreement
 
 __all__ = [
     "z_series",
@@ -134,10 +134,8 @@ def z_recursion(n: int, order: int) -> Series:
         derivative_route = derivative_route.derivative()
     derivative_route = derivative_route.truncate(order)
 
-    _require_equal(
-        f"z_recursion({n}): ladder and derivative routes disagree",
-        ladder,
-        derivative_route,
+    require_agreement(
+        ladder, derivative_route, f"z_recursion({n}): ladder and derivative routes disagree"
     )
     return ladder
 
@@ -303,8 +301,8 @@ def m2_via_routes(order: int) -> Series:
         coeffs[2 * e] = first - Fraction(conv, 2)
     route_c = Series(coeffs)
 
-    _require_equal("m2_via_routes: routes A and B disagree", route_a, route_b)
-    _require_equal("m2_via_routes: routes A and C disagree", route_a, route_c)
+    require_agreement(route_a, route_b, "m2_via_routes: routes A and B disagree")
+    require_agreement(route_a, route_c, "m2_via_routes: routes A and C disagree")
     return route_a
 
 
@@ -329,5 +327,5 @@ def m3_via_routes(order: int) -> Series:
         + (d3.shifted(3) * Fraction(1, 6)).truncate(order)
     )
 
-    _require_equal("m3_via_routes: routes A and B disagree", route_a, route_b)
+    require_agreement(route_a, route_b, "m3_via_routes: routes A and B disagree")
     return route_a

@@ -34,14 +34,7 @@ from typing import Callable, Sequence
 from .combinat import double_factorial
 from .errors import ConsistencyError
 from .qft import _z0_inverse, m0_series, m_series, z_np_series, z_series
-from .series import (
-    Series,
-    _as_fraction,
-    _require_equal,
-    first_difference,
-    horner,
-    log_coefficients,
-)
+from .series import Series, _as_fraction, horner, log_coefficients, require_agreement
 
 __all__ = [
     "BTable",
@@ -171,7 +164,7 @@ def r_series(i: int, order: int) -> Series:
         z0 = z_series(0, order + shift)
         alt = (z0 - Series(head, order=z0.order)).unshifted(shift, f"r_series({i})")
 
-    _require_equal(f"r_series({i}): direct sum and Z_0 route differ", direct, alt)
+    require_agreement(direct, alt, f"r_series({i}): direct sum and Z_0 route differ")
     return direct
 
 
@@ -185,7 +178,7 @@ def check_derivative_basis(n: int, order: int) -> None:
     rhs = Series.zero(order)
     for k in range(n + 1):
         rhs = rhs + r_series(2 * k - 1, order) * ((-1) ** (n - k) * table.value(n, k))
-    _require_equal(f"derivative-basis identity (n={n}): sides differ", lhs, rhs)
+    require_agreement(lhs, rhs, f"derivative-basis identity (n={n}): sides differ")
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +333,7 @@ def _require_substitution(context: str, poly: M1Polynomial, expected: Series) ->
     """Substitute the M₁ series into poly and require it to equal `expected`."""
     order = expected.order
     shift = max(0, -poly.min_lambda_power())
-    _require_equal(context, poly.evaluate(m_series(1, order + shift), order), expected)
-
-
-@cache
-def _zj_checked(j: int, order: int) -> None:
-    _require_substitution(
-        f"zj_over_z0_in_m1({j}): substitution and direct division differ",
-        _zj_table(j),
-        z_series(j, order) * _z0_inverse(order),
-    )
+    require_agreement(poly.evaluate(m_series(1, order + shift), order), expected, context)
 
 
 def zj_over_z0_in_m1(j: int, order: int) -> M1Polynomial:
@@ -357,13 +341,17 @@ def zj_over_z0_in_m1(j: int, order: int) -> M1Polynomial:
 
     Assembled from the B-table against the bracket terms once per j, whatever
     the order; validated by substituting the M₁ series and comparing with the
-    direct series division to the requested order, once per (j, order).
+    direct series division to the requested order, on every call.
     """
     if j < 0:
         raise ValueError("j must be non-negative")
     if order < 0:
         raise ValueError("order must be non-negative")
-    _zj_checked(j, order)
+    _require_substitution(
+        f"zj_over_z0_in_m1({j}): substitution and direct division differ",
+        _zj_table(j),
+        z_series(j, order) * _z0_inverse(order),
+    )
     return _zj_table(j)
 
 
@@ -382,15 +370,6 @@ def _mn_table(n: int) -> M1Polynomial:
     return log_coefficients(scaled, known)[-1] * factorial(n)
 
 
-@cache
-def _mn_checked(n: int, order: int) -> None:
-    _require_substitution(
-        f"mn_in_m1({n}): substitution and the direct series differ",
-        _mn_table(n),
-        m_series(n, order),
-    )
-
-
 def mn_in_m1(n: int, order: int) -> M1Polynomial:
     """M_N as a polynomial of degree exactly N in M₁.
 
@@ -398,7 +377,7 @@ def mn_in_m1(n: int, order: int) -> M1Polynomial:
     M_N = N! · [t^N] log(1 + Σ_j (Z_j/Z_0) t^j/(j!)²), over the degree-1
     quotient polynomials instead of series, resumed from the lower M_i/i!,
     once per N whatever the order; validated by degree check and by
-    substituting the M₁ series against m_series(N), once per (n, order).
+    substituting the M₁ series against m_series(N), on every call.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -407,7 +386,9 @@ def mn_in_m1(n: int, order: int) -> M1Polynomial:
         raise ConsistencyError(
             f"mn_in_m1({n}): degree {total.degree}, expected exactly {n}"
         )
-    _mn_checked(n, order)
+    _require_substitution(
+        f"mn_in_m1({n}): substitution and the direct series differ", total, m_series(n, order)
+    )
     return total
 
 
@@ -463,15 +444,6 @@ def attempt(identity: str, order: int, check: Callable[[], object]) -> Verificat
     except ConsistencyError as exc:
         return VerificationReport(identity, order, False, exc.power, detail=str(exc))
     return VerificationReport(identity, order, True, None)
-
-
-def require_agreement(lhs: Series, rhs: Series) -> None:
-    """A check that lhs and rhs agree at every power both know; a failure
-    names the first differing λ-power and both values there."""
-    diff = first_difference(lhs, rhs)
-    if diff is not None:
-        p, left, right = diff
-        raise ConsistencyError(f"at λ^{p}: {left} != {right}", power=p)
 
 
 def report_from_difference(identity: str, lhs: Series, rhs: Series) -> VerificationReport:

@@ -24,7 +24,7 @@ import itertools
 from collections import deque, namedtuple
 from math import factorial
 
-from .errors import BoundExceededError, ConsistencyError
+from .errors import BoundExceededError, ConsistencyError, _require_json_object
 from .permutations import (
     Perm,
     _pairing_components,
@@ -334,6 +334,8 @@ def count_maps_by_division(n_roots: int, edges: int) -> int:
     if edges == 0:
         return 1 if n_roots == 1 else 0
     n = 2 * edges
+    if n_roots > n:
+        return 0  # N roots are N distinct half-edges
     alpha = tuple(h + 1 if h % 2 else h - 1 for h in range(1, n + 1))  # (1 2)(3 4)…
 
     total = 0
@@ -412,15 +414,7 @@ def map_from_json(data: dict) -> RootedMap:
     the parsed map is re-validated so structural problems (e.g. a fixed point
     in alpha) surface with the same messages as :func:`validate`.
     """
-    if not isinstance(data, dict):
-        raise ValueError("map JSON must be an object")
-    required = {"half_edges", "alpha", "sigma", "roots"}
-    missing = required - data.keys()
-    if missing:
-        raise ValueError(f"map JSON missing keys: {sorted(missing)}")
-    extra = data.keys() - required
-    if extra:
-        raise ValueError(f"map JSON has unknown keys: {sorted(extra)}")
+    _require_json_object(data, "map", {"half_edges", "alpha", "sigma", "roots"})
 
     # ``type(v) is int`` because JSON booleans parse to bool, a subclass of int.
     n = data["half_edges"]

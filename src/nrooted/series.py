@@ -35,12 +35,13 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable, Sequence, TypeVar, Union
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, _require_json_object
 
 Rational = Union[int, Fraction]
 T = TypeVar("T")
 
-__all__ = ["Series", "Rational", "log_coefficients", "first_difference", "horner"]
+__all__ = ["Series", "Rational", "log_coefficients", "first_difference", "horner",
+           "require_agreement"]
 
 
 def log_coefficients(u: Sequence[T], known: Sequence[T] = ()) -> list[T]:
@@ -73,15 +74,14 @@ def first_difference(a: Series, b: Series) -> tuple[int, Fraction, Fraction] | N
     return None
 
 
-def _require_equal(context: str, a: Series, b: Series) -> None:
-    """Raise :class:`ConsistencyError` naming the first differing λ-power."""
-    if a == b:
-        return
-    diff = first_difference(a, b)
-    if diff is None:
-        raise ConsistencyError(f"{context} orders {a.order} and {b.order}")
-    p, x, y = diff
-    raise ConsistencyError(f"{context} at λ^{p}: {x} != {y}", power=p)
+def require_agreement(lhs: Series, rhs: Series, context: str = "") -> None:
+    """A check that lhs and rhs agree at every power both know; a failure
+    names the first differing λ-power and both values there, after
+    ``context`` when one is given."""
+    diff = None if lhs == rhs else first_difference(lhs, rhs)
+    if diff is not None:
+        p, x, y = diff
+        raise ConsistencyError(f"{context} at λ^{p}: {x} != {y}".lstrip(), power=p)
 
 
 def _as_fraction(value: Rational) -> Fraction:
@@ -395,11 +395,8 @@ class Series:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Series":
-        try:
-            order = data["order"]
-            coeffs = data["coeffs"]
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"series JSON needs 'order' and 'coeffs': {exc}") from exc
+        _require_json_object(data, "series", {"order", "coeffs"})
+        order, coeffs = data["order"], data["coeffs"]
         if type(order) is not int or order < 0:  # JSON true/false are bools
             raise ValueError(f"invalid series order: {order!r}")
         if not isinstance(coeffs, list) or len(coeffs) != order + 1:

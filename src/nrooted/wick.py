@@ -35,7 +35,7 @@ from collections import namedtuple
 from math import factorial
 from typing import TYPE_CHECKING
 
-from .errors import BoundExceededError, ConsistencyError
+from .errors import BoundExceededError, ConsistencyError, _require_json_object
 from .permutations import (
     Perm,
     _pairing_components as _components,
@@ -318,6 +318,8 @@ def count_connected_classes(n_external: int, edges: int) -> int:
     n = 2 * edges
     if edges == 0:
         return 1 if n_external == 1 else 0
+    if n_external > n:
+        return 0  # a chain through no vertex is a component of its own
 
     matching = next(fixed_point_free_involutions(n))  # (1 2)(3 4)…
     total = _count_for_matching((n_external, n, matching))
@@ -388,15 +390,8 @@ def contraction_to_json(w: Contraction) -> dict:
 
 def contraction_from_json(data: dict) -> Contraction:
     """Parse and strictly validate the contraction JSON shape."""
-    if not isinstance(data, dict):
-        raise ValueError("contraction JSON must be an object")
-    required = {"n_external", "n_vertices", "photon_pairs", "electron_targets"}
-    missing = required - data.keys()
-    if missing:
-        raise ValueError(f"contraction JSON missing keys: {sorted(missing)}")
-    extra = data.keys() - required
-    if extra:
-        raise ValueError(f"contraction JSON has unknown keys: {sorted(extra)}")
+    keys = {"n_external", "n_vertices", "photon_pairs", "electron_targets"}
+    _require_json_object(data, "contraction", keys)
 
     # ``type(v) is int`` because JSON booleans parse to bool, a subclass of int.
     big_n, n = data["n_external"], data["n_vertices"]

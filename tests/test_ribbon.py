@@ -322,6 +322,11 @@ class TestDivisionOracle:
         assert count_maps_by_division(2, 0) == 0
         assert count_maps_by_division(4, 1) == 0
 
+    @pytest.mark.parametrize("n_roots", [9, 10, 16])
+    def test_more_roots_than_half_edges_need_no_scan(self, n_roots, monkeypatch):
+        monkeypatch.setattr(nrooted.ribbon, "_is_transitive", None)  # any scan would call it
+        assert count_maps_by_division(n_roots, MAX_HALF_EDGES // 2) == 0
+
     def test_bound_enforced(self):
         with pytest.raises(BoundExceededError):
             count_maps_by_division(1, 5)
@@ -330,7 +335,8 @@ class TestDivisionOracle:
     def test_every_pairing_has_the_same_share(self, edges):
         # all pairings α are conjugate; count_maps_by_division scans one
         n = 2 * edges
-        per_alpha: dict[int, list[int]] = {1: [], 2: [], 3: []}
+        # up to N = 2e + 2: N roots are N distinct half-edges, so past 2e none
+        per_alpha: dict[int, list[int]] = {n_roots: [] for n_roots in range(1, n + 3)}
         for alpha in fixed_point_free_involutions(n):
             totals = dict.fromkeys(per_alpha, 0)
             for sigma in itertools.permutations(range(1, n + 1)):
@@ -444,6 +450,7 @@ class TestSerialization:
             ({"sigma": "12"}, "sigma: expected a list of cycles (lists)"),
             ({"alpha": [[1, 2], [2]]}, "alpha: element 2 appears in more than one cycle"),
             ({"sigma": [[1], [2, 1]]}, "sigma: element 1 appears in more than one cycle"),
+            ({"genus": 0}, "map JSON has unknown keys: ['genus']"),
         ],
     )
     def test_malformed_document_is_named(self, data, message):
@@ -451,6 +458,10 @@ class TestSerialization:
             data = {"half_edges": 2, "alpha": [[1, 2]], "sigma": [[1, 2]], "roots": [1], **data}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             map_from_json(data)
+
+    def test_missing_keys_are_named(self):
+        with pytest.raises(ValueError, match=r"^map JSON missing keys: \['roots', 'sigma'\]$"):
+            map_from_json({"half_edges": 2, "alpha": [[1, 2]]})
 
     def test_singleton_pairing_cycle_reported_as_fixed_point(self):
         data = json.loads(json.dumps(EXAMPLE_JSON))

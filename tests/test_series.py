@@ -1,5 +1,6 @@
 """Exact truncated-series arithmetic: examples, edge cases, and ring laws."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nrooted.errors import ConsistencyError
-from nrooted.series import Series, first_difference, horner, log_coefficients
+from nrooted.series import Series, first_difference, horner, log_coefficients, require_agreement
 
 
 def S(*coeffs):
@@ -188,6 +189,23 @@ class TestFirstDifference:
         assert first_difference(S(1, 2), S(1, 2, 99)) is None
 
 
+class TestRequireAgreement:
+    def test_agreement_on_the_common_powers_passes(self):
+        require_agreement(S(1, 2), S(1, 2))
+        require_agreement(S(1, 2), S(1, 2, 99))
+
+    def test_failure_with_a_context_names_its_power(self):
+        message = r"^demo: routes differ at λ\^2: 10 != 11$"
+        with pytest.raises(ConsistencyError, match=message) as info:
+            require_agreement(S(1, 2, 10, 74), S(1, 2, 11, 70), "demo: routes differ")
+        assert info.value.power == 2
+
+    def test_failure_without_a_context_names_its_power(self):
+        with pytest.raises(ConsistencyError, match=r"^at λ\^1: 1/2 != 0$") as info:
+            require_agreement(S(0, Fraction(1, 2)), S(0, 0, 5))
+        assert info.value.power == 1
+
+
 class TestCoefficientAccess:
     def test_coefficient(self):
         assert S(0, 0, 0, 0, 10).coefficient(4) == 10
@@ -218,20 +236,26 @@ class TestSerialization:
         assert s == S(3, -2)
 
     @pytest.mark.parametrize(
-        "data",
+        "data, message",
         [
-            {"coeffs": ["1/1"]},
-            {"order": 1, "coeffs": ["1/1"]},
-            {"order": 0, "coeffs": ["1/0"]},
-            {"order": 0, "coeffs": ["x"]},
-            {"order": 0, "coeffs": "1/1"},
-            {"order": True, "coeffs": ["1/1", "0/1"]},
-            {"order": False, "coeffs": ["1/1"]},
-            [],
+            ({"coeffs": ["1/1"]}, "series JSON missing keys: ['order']"),
+            ({"order": 1, "coeffs": ["1/1"]}, "series of order 1 needs exactly 2 coefficients"),
+            ({"order": 0, "coeffs": ["1/0"]}, "bad rational '1/0'"),
+            ({"order": 0, "coeffs": ["x"]}, "bad rational 'x'"),
+            ({"order": 0, "coeffs": "1/1"}, "series of order 0 needs exactly 1 coefficients"),
+            ({"order": True, "coeffs": ["1/1", "0/1"]}, "invalid series order: True"),
+            ({"order": False, "coeffs": ["1/1"]}, "invalid series order: False"),
+            ([], "series JSON must be an object"),
+            (["1/1"], "series JSON must be an object"),
+            ({"order": 0}, "series JSON missing keys: ['coeffs']"),
+            ({"order": 0, "coeffs": ["1/1"], "extra": 5},
+             "series JSON has unknown keys: ['extra']"),
         ],
+        ids=[f"data{i}" for i in range(11)],
     )
-    def test_json_rejects_malformed(self, data):
-        with pytest.raises(ValueError):
+    def test_json_rejects_malformed(self, data, message):
+        # the object and key wording is the map and contraction readers' too
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             Series.from_json_dict(data)
 
     def test_format_terms(self):

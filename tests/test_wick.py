@@ -101,6 +101,18 @@ class TestEnumeration:
         )
         assert sum(1 for _ in enumerate_contractions(n_external, edges)) == expected
 
+    def test_photon_matchings_in_documented_order(self):
+        # the smallest unmatched point is paired next, partners in increasing order
+        assert list(fixed_point_free_involutions(6)) == [
+            (2, 1, 4, 3, 6, 5), (2, 1, 5, 6, 3, 4), (2, 1, 6, 5, 4, 3),
+            (3, 4, 1, 2, 6, 5), (3, 5, 1, 6, 2, 4), (3, 6, 1, 5, 4, 2),
+            (4, 3, 2, 1, 6, 5), (4, 5, 6, 1, 2, 3), (4, 6, 5, 1, 3, 2),
+            (5, 3, 2, 6, 1, 4), (5, 4, 6, 2, 1, 3), (5, 6, 4, 3, 1, 2),
+            (6, 3, 2, 5, 4, 1), (6, 4, 5, 2, 3, 1), (6, 5, 4, 3, 2, 1),
+        ]
+        for n in range(0, 11, 2):
+            assert sum(1 for _ in fixed_point_free_involutions(n)) == double_factorial_odd(n - 1)
+
     def test_no_duplicates(self):
         seen = set(enumerate_contractions(1, 1))
         assert len(seen) == 6
@@ -265,6 +277,18 @@ class TestCounting:
         share = 2**edges * factorial(edges) * m_count(n_external, edges)
         assert set(per_matching) == {share}
         assert sum(per_matching) == factorial(n) * count_connected_classes(n_external, edges)
+
+    @pytest.mark.parametrize(
+        "n_external,edges",
+        [(n, e) for e in (1, 2) for n in range(2 * e + 1, MAX_SLOTS - 2 * e + 1)],
+    )
+    def test_more_external_lines_than_vertices_count_none(self, n_external, edges, monkeypatch):
+        # a chain through no vertex is a component of its own, on every matching
+        n = 2 * edges
+        matching = next(fixed_point_free_involutions(n))
+        assert nrooted.wick._count_for_matching((n_external, n, matching)) == 0
+        monkeypatch.setattr(nrooted.wick, "_count_for_matching", None)  # the oracle streams none
+        assert count_connected_classes(n_external, edges) == 0
 
     @pytest.mark.parametrize(
         "n_external,edges,expected",
@@ -455,6 +479,7 @@ class TestSerialization:
             # each entry parses on its own; only the whole list is not a bijection
             ({"electron_targets": [1, 1, "ket1"]},
              "electron targets must form a bijection onto the in-slots"),
+            ({"loops": 1}, "contraction JSON has unknown keys: ['loops']"),
         ],
     )
     def test_malformed_document_is_named(self, data, message):
@@ -462,6 +487,11 @@ class TestSerialization:
             data = {**contraction_to_json(LOOP_CONTRACTION), **data}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             contraction_from_json(data)
+
+    def test_missing_keys_are_named(self):
+        message = r"^contraction JSON missing keys: \['electron_targets', 'photon_pairs'\]$"
+        with pytest.raises(ValueError, match=message):
+            contraction_from_json({"n_external": 1, "n_vertices": 2})
 
     def test_dot_snapshot(self):
         assert contraction_to_dot(LOOP_CONTRACTION) == (
