@@ -19,6 +19,7 @@ __all__ = [
     "from_cycles",
     "is_involution_without_fixed_points",
     "fixed_point_free_involutions",
+    "standard_pairing",
     "UnionFind",
 ]
 
@@ -99,6 +100,11 @@ def fixed_point_free_involutions(n: int) -> Iterator[Perm]:
                 images[first] = images[partner] = 0
 
     yield from pair(1)
+
+
+def standard_pairing(n: int) -> Perm:
+    """(1 2)(3 4)… on {1..n}, n even: the one pairing every counting oracle scans."""
+    return tuple(h + 1 if h % 2 else h - 1 for h in range(1, n + 1))
 
 
 class UnionFind:

@@ -62,12 +62,20 @@ def _widest_order_cache(build):
     """Cache ``build(*key, order)`` once per key, at the widest order built so far,
     and serve a lower order by :meth:`Series.truncate`, which is exact; a higher
     one is built and replaces the entry.  ``cache_info`` and ``cache_clear``
-    behave as on a ``functools`` cache."""
+    behave as on a ``functools`` cache.  Keywords are moved to their positions,
+    so both spellings of a call share one entry; any other keyword call goes to
+    ``build``, which raises the ``TypeError``."""
     widest: dict[tuple, Series] = {}
     counts = [0, 0]  # hits, misses
+    names = build.__code__.co_varnames[: build.__code__.co_argcount]
 
     @wraps(build)
-    def cached(*args):
+    def cached(*args, **kwargs):
+        if kwargs:
+            rest = names[len(args):]
+            if kwargs.keys() != set(rest):
+                return build(*args, **kwargs)
+            args += tuple(kwargs[name] for name in rest)
         key, order = args[:-1], args[-1]
         known = widest.get(key)
         hit = known is not None and known.order >= order

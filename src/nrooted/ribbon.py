@@ -32,6 +32,7 @@ from .permutations import (
     cycles_of,
     from_cycles,
     inverse,
+    standard_pairing,
 )
 
 __all__ = [
@@ -336,7 +337,7 @@ def count_maps_by_division(n_roots: int, edges: int) -> int:
     n = 2 * edges
     if n_roots > n:
         return 0  # N roots are N distinct half-edges
-    alpha = tuple(h + 1 if h % 2 else h - 1 for h in range(1, n + 1))  # (1 2)(3 4)…
+    alpha = standard_pairing(n)
 
     total = 0
     for sigma in itertools.permutations(range(1, n + 1)):

@@ -18,6 +18,10 @@ contractions — those whose chain from bra_k ends at ket_k for every k:
   by (2e)! is the second independent counting oracle
   (:func:`count_connected_classes`).
 
+All photon matchings are conjugate, so each class has 2^e·e! contractions on
+each of them: both contraction oracles scan the one matching (1 2)(3 4)… and
+scale by the (2e−1)!! matchings.
+
 Connectivity treats bra_k and ket_k as separate leaf nodes: a chain that
 enters at bra_k and leaves at ket_j is a path, never a cycle, so e.g. the
 two bare crossed chains at N=2, e=0 form two components and are disconnected.
@@ -42,6 +46,7 @@ from .permutations import (
     cycles_of,
     fixed_point_free_involutions,
     is_involution_without_fixed_points,
+    standard_pairing,
 )
 from .ribbon import RootedMap, _canonical_relabeling, _require_valid, point_map, validate
 
@@ -52,17 +57,12 @@ __all__ = [
     "MAX_SLOTS",
     "Contraction",
     "enumerate_contractions",
-    "is_connected",
-    "is_aligned",
-    "external_chains",
     "to_map",
     "from_map",
-    "loop_count",
     "count_connected_classes",
     "total_weighted_classes",
     "contraction_to_json",
     "contraction_from_json",
-    "contraction_to_dot",
 ]
 
 #: Ceiling on slots per side (2e + N) for exhaustive contraction streams.
@@ -80,22 +80,12 @@ class Contraction(namedtuple("Contraction", "n_external n_vertices photon target
 
     __slots__ = ()
 
-    @property
-    def n_edges(self) -> int:
-        return self.n_vertices // 2
-
     def photon_pairs(self) -> list[tuple[int, int]]:
         return sorted(
             (h, self.photon[h - 1])
             for h in range(1, self.n_vertices + 1)
             if h < self.photon[h - 1]
         )
-
-    def target_of_bra(self, k: int) -> int:
-        return self.targets[k - 1]
-
-    def target_of_vertex(self, v: int) -> int:
-        return self.targets[self.n_external + v - 1]
 
     def __repr__(self):
         return (
@@ -163,7 +153,7 @@ def _chains(big_n: int, n: int, targets) -> list[tuple[tuple[int, ...], int]]:
 
 
 def _aligned_connected(big_n: int, n: int, photon: Perm, targets) -> bool:
-    """The one filter of both oracles: is the contraction aligned and connected?
+    """Is the contraction aligned and connected?
 
     Walks the chains first and stops at the first that ends at a wrong ket;
     only aligned contractions reach the connectivity pass.  Unchecked.
@@ -177,37 +167,15 @@ def _aligned_connected(big_n: int, n: int, photon: Perm, targets) -> bool:
     return _components(big_n, n, photon, targets)[0] == 1
 
 
-def is_connected(w: Contraction) -> bool:
-    """True iff the whole diagram — all vertices and all external ends — is one piece."""
-    _check_contraction(w)
-    if w.n_vertices == 0 and w.n_external == 0:
-        return True
-    return _components(w.n_external, w.n_vertices, w.photon, w.targets)[0] == 1
-
-
-def external_chains(w: Contraction) -> list[tuple[tuple[int, ...], int]]:
-    """For each bra_k in order: (vertices passed through, index of the ket reached)."""
-    _check_contraction(w)
-    return _chains(w.n_external, w.n_vertices, w.targets)
-
-
-def is_aligned(w: Contraction) -> bool:
-    """True iff the chain from bra_k terminates at ket_k for every k."""
-    return all(end == k for k, (_, end) in enumerate(external_chains(w), start=1))
-
-
-def loop_count(w: Contraction) -> int:
-    """Independent cycles of the connected diagram; must equal e − N + 1."""
-    _check_contraction(w)
-    components, cycles = _components(w.n_external, w.n_vertices, w.photon, w.targets)
-    if components != 1:
-        raise ValueError("loop_count requires a connected contraction")
-    expected = w.n_edges - w.n_external + 1
-    if cycles != expected:
-        raise ConsistencyError(
-            f"diagram has {cycles} independent cycles, expected e − N + 1 = {expected}"
-        )
-    return cycles
+def _aligned_connected_targets(big_n: int, n: int, photon: Perm):
+    """The one scan of both oracles: the electron bijections that make
+    ``photon`` aligned and connected.  A chain through no vertex is a component
+    of its own, so past the bare line (N = 1, e = 0) N > 2e scans nothing."""
+    if big_n > max(n, 1):
+        return
+    for targets in itertools.permutations(range(1, n + big_n + 1)):
+        if _aligned_connected(big_n, n, photon, targets):
+            yield targets
 
 
 def _build_map(photon: Perm, targets, chains) -> RootedMap:
@@ -295,34 +263,18 @@ def from_map(m: RootedMap) -> Contraction:
     return Contraction(big_n, n, m.alpha, tuple(targets))
 
 
-def _count_for_matching(args: tuple[int, int, Perm]) -> int:
-    """Aligned connected contractions extending one photon matching."""
-    n_external, n_vertices, matching = args
-    count = 0
-    for targets in itertools.permutations(range(1, n_vertices + n_external + 1)):
-        if _aligned_connected(n_external, n_vertices, matching, targets):
-            count += 1
-    return count
-
-
 def count_connected_classes(n_external: int, edges: int) -> int:
     """Number of map classes counted through the contraction oracle.
 
     Counts aligned connected contractions and divides by (2e)!; the quotient
     is exact because vertex relabelings act freely on them.  All photon
-    matchings are conjugate, so each has the same share: one is streamed.
+    matchings are conjugate, so each has the same share: one is scanned.
     """
     _check_bounds(n_external, edges)
     if n_external < 1:
         raise ValueError("count_connected_classes requires n_external >= 1")
     n = 2 * edges
-    if edges == 0:
-        return 1 if n_external == 1 else 0
-    if n_external > n:
-        return 0  # a chain through no vertex is a component of its own
-
-    matching = next(fixed_point_free_involutions(n))  # (1 2)(3 4)…
-    total = _count_for_matching((n_external, n, matching))
+    total = sum(1 for _ in _aligned_connected_targets(n_external, n, standard_pairing(n)))
     total *= factorial(n) // (2**edges * factorial(edges))  # (2e−1)!! matchings
     denom = factorial(n)
     if total % denom != 0:
@@ -351,26 +303,25 @@ def total_weighted_classes(n_external: int, edges: int) -> Fraction:
 def bijection_class_multiset(n_external: int, edges: int) -> dict[RootedMap, int]:
     """Canonical form → number of aligned connected contractions mapping to it.
 
-    The streamed contractions are well formed by construction, so each is
-    filtered without re-checking it, and each accepted one's map is
-    validated exactly once.
+    Scans the one matching (1 2)(3 4)… and scales each fiber by the (2e−1)!!
+    matchings; each scanned contraction's map is validated exactly once.
     """
     _check_bounds(n_external, edges)
     if n_external < 1:
         raise ValueError("bijection_class_multiset requires n_external >= 1")
     n = 2 * edges
+    photon = standard_pairing(n)
     fibers: dict[RootedMap, int] = {}
-    for w in enumerate_contractions(n_external, edges):
-        if not _aligned_connected(n_external, n, w.photon, w.targets):
-            continue
-        m = _valid(_build_map(w.photon, w.targets, _chains(n_external, n, w.targets)))
+    for targets in _aligned_connected_targets(n_external, n, photon):
+        m = _valid(_build_map(photon, targets, _chains(n_external, n, targets)))
         key = _canonical_relabeling(m)
         fibers[key] = fibers.get(key, 0) + 1
-    return fibers
+    matchings = factorial(n) // (2**edges * factorial(edges))
+    return {key: size * matchings for key, size in fibers.items()}
 
 
 # ---------------------------------------------------------------------------
-# Serialization & inspection
+# Serialization
 # ---------------------------------------------------------------------------
 
 
@@ -444,26 +395,3 @@ def contraction_from_json(data: dict) -> Contraction:
     w = Contraction(big_n, n, tuple(photon), tuple(targets))
     _check_contraction(w)  # duplicate-target and bijection checks
     return w
-
-
-def contraction_to_dot(w: Contraction) -> str:
-    """DOT text for inspection: solid directed electron arrows, dashed photons."""
-    _check_contraction(w)
-    n = w.n_vertices
-    lines = ["digraph contraction {"]
-    for k in range(1, w.n_external + 1):
-        lines.append(f"  ext{k} [shape=plaintext];")
-    for v in range(1, n + 1):
-        lines.append(f"  v{v} [shape=circle];")
-
-    def name(t: int) -> str:
-        return f"v{t}" if t <= n else f"ext{t - n}"
-
-    for k in range(1, w.n_external + 1):
-        lines.append(f"  ext{k} -> {name(w.target_of_bra(k))};")
-    for v in range(1, n + 1):
-        lines.append(f"  v{v} -> {name(w.target_of_vertex(v))};")
-    for a, b in w.photon_pairs():
-        lines.append(f"  v{a} -> v{b} [style=dashed, dir=none];")
-    lines.append("}")
-    return "\n".join(lines)

@@ -31,6 +31,73 @@ EXAMPLE_MAP_JSON = {
 NON_CANONICAL_KETS = ["ket01", "ket+1", "ket 1", "ket1 ", "ket\u0661", "ket1_0"]
 
 
+#: ``verify --suite bijection`` stdout, byte for byte.
+BIJECTION_SUITE_STDOUT = (
+    '[\n'
+    '  {\n'
+    '    "identity": "oracle-agreement-n1-e0",\n'
+    '    "order_checked": 0,\n'
+    '    "pass": true,\n'
+    '    "first_failure_power": null\n'
+    '  },\n'
+    '  {\n'
+    '    "identity": "oracle-agreement-n1-e1",\n'
+    '    "order_checked": 2,\n'
+    '    "pass": true,\n'
+    '    "first_failure_power": null\n'
+    '  },\n'
+    '  {\n'
+    '    "identity": "oracle-agreement-n1-e2",\n'
+    '    "order_checked": 4,\n'
+    '    "pass": true,\n'
+    '    "first_failure_power": null\n'
+    '  },\n'
+    '  {\n'
+    '    "identity": "oracle-agreement-n2-e1",\n'
+    '    "order_checked": 2,\n'
+    '    "pass": true,\n'
+    '    "first_failure_power": null\n'
+    '  },\n'
+    '  {\n'
+    '    "identity": "oracle-agreement-n2-e2",\n'
+    '    "order_checked": 4,\n'
+    '    "pass": true,\n'
+    '    "first_failure_power": null\n'
+    '  },\n'
+    '  {\n'
+    '    "identity": "oracle-agreement-n3-e2",\n'
+    '    "order_checked": 4,\n'
+    '    "pass": true,\n'
+    '    "first_failure_power": null\n'
+    '  },\n'
+    '  {\n'
+    '    "identity": "oracle-agreement-n1-e3",\n'
+    '    "order_checked": 6,\n'
+    '    "pass": true,\n'
+    '    "first_failure_power": null\n'
+    '  },\n'
+    '  {\n'
+    '    "identity": "fiber-size-n1-e1",\n'
+    '    "order_checked": 2,\n'
+    '    "pass": true,\n'
+    '    "first_failure_power": null\n'
+    '  },\n'
+    '  {\n'
+    '    "identity": "fiber-size-n1-e2",\n'
+    '    "order_checked": 4,\n'
+    '    "pass": true,\n'
+    '    "first_failure_power": null\n'
+    '  },\n'
+    '  {\n'
+    '    "identity": "fiber-size-n2-e1",\n'
+    '    "order_checked": 2,\n'
+    '    "pass": true,\n'
+    '    "first_failure_power": null\n'
+    '  }\n'
+    ']\n'
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -592,6 +659,12 @@ class TestVerifyCommand:
             "FAIL fiber-size-n1-e1: contractions reach 2 classes, enumeration finds 2; "
             "fiber sizes other than (2e)! = 2: [1]\n"
         )
+
+    def test_bijection_suite_stdout_is_pinned(self, capsys):
+        # the whole default output, whose digest the benchmark also pins
+        code, out, err = run(capsys, "verify", "--suite", "bijection")
+        assert (code, err) == (0, "")
+        assert out == BIJECTION_SUITE_STDOUT
 
 
 class TestConvertCommand:

@@ -492,3 +492,25 @@ class TestWidestOrderCache:
             m_series(1, -1)
         with pytest.raises(ValueError, match="order must be non-negative"):
             z_series(0, -1)
+
+    def test_keywords_share_the_positional_entry(self):
+        wide = m_series(2, 12)
+        assert m_series(2, order=12) is wide
+        assert m_series(n=2, order=6) == wide.truncate(6)
+        assert z_series(j=1, order=4) == z_series(1, 4)
+        assert m0_series(order=4) == m0_series(4)
+        info = m_series.cache_info()
+        assert info.currsize == 2 and info.hits == 2  # n = 1 and 2; only the first call built
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: m_series(order=6), r"missing 1 required positional argument: 'n'"),
+            (lambda: m_series(2, degree=6), r"unexpected keyword argument 'degree'"),
+            (lambda: m_series(2, n=2, order=6), r"multiple values for argument 'n'"),
+            (lambda: z_series(1, 4, order=4), r"multiple values for argument 'order'"),
+        ],
+    )
+    def test_a_bad_keyword_call_is_a_type_error(self, call, message):
+        with pytest.raises(TypeError, match=message):
+            call()

@@ -1,5 +1,6 @@
 """Labeled-contraction oracle: streaming, connectivity, and the map bijection."""
 
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -8,23 +9,21 @@ import pytest
 
 import nrooted.wick
 from nrooted.errors import BoundExceededError, ConsistencyError
-from nrooted.permutations import fixed_point_free_involutions
+from nrooted.permutations import fixed_point_free_involutions, standard_pairing
 from nrooted.qft import m_count, z_series
 from nrooted.ribbon import RootedMap, canonical_form, enumerate_maps, point_map
 from nrooted.wick import (
     MAX_SLOTS,
     Contraction,
+    _aligned_connected_targets,
+    _chains,
+    _components,
     bijection_class_multiset,
     contraction_from_json,
-    contraction_to_dot,
     contraction_to_json,
     count_connected_classes,
     enumerate_contractions,
-    external_chains,
     from_map,
-    is_aligned,
-    is_connected,
-    loop_count,
     to_map,
     total_weighted_classes,
 )
@@ -57,22 +56,44 @@ def double_factorial_odd(m: int) -> int:
     return out
 
 
-class TestContractionType:
-    def test_accessors(self):
-        w = LOOP_CONTRACTION
-        assert w.photon_pairs() == [(1, 2)]
-        assert w.target_of_bra(1) == 1
-        assert w.target_of_vertex(1) == 2
-        assert w.target_of_vertex(2) == 3  # ket 1
+def components(w: Contraction) -> tuple[int, int]:
+    """(components, independent cycles) of the whole diagram, vertices and external ends."""
+    return _components(w.n_external, w.n_vertices, w.photon, w.targets)
 
+
+def chains(w: Contraction) -> list[tuple[tuple[int, ...], int]]:
+    """For each bra_k in order: (vertices passed through, index of the ket reached)."""
+    return _chains(w.n_external, w.n_vertices, w.targets)
+
+
+def connected(w: Contraction) -> bool:
+    return components(w)[0] == 1
+
+
+def aligned(w: Contraction) -> bool:
+    """Does the chain from bra_k end at ket_k for every k?"""
+    return all(end == k for k, (_, end) in enumerate(chains(w), start=1))
+
+
+def full_stream_fibers(n_external: int, edges: int) -> dict[RootedMap, int]:
+    """Canonical form → aligned connected contractions over every photon matching."""
+    fibers: dict[RootedMap, int] = {}
+    for w in enumerate_contractions(n_external, edges):
+        if connected(w) and aligned(w):
+            key = canonical_form(to_map(w))
+            fibers[key] = fibers.get(key, 0) + 1
+    return fibers
+
+
+class TestContractionType:
     def test_rejects_odd_vertex_count(self):
         with pytest.raises(ValueError):
-            external_chains(Contraction(2, 1, (2, 1), (1, 4, 2)))
+            to_map(Contraction(2, 1, (2, 1), (1, 4, 2)))
 
     def test_rejects_non_involution_photons(self):
         w = Contraction(1, 2, (1, 2), (1, 2, 3))
         with pytest.raises(ValueError):
-            external_chains(w)
+            to_map(w)
 
     @pytest.mark.parametrize(
         "w, message",
@@ -87,7 +108,7 @@ class TestContractionType:
     )
     def test_malformed_contraction_is_named(self, w, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            is_connected(w)
+            to_map(w)
 
 
 class TestEnumeration:
@@ -112,6 +133,7 @@ class TestEnumeration:
         ]
         for n in range(0, 11, 2):
             assert sum(1 for _ in fixed_point_free_involutions(n)) == double_factorial_odd(n - 1)
+            assert next(fixed_point_free_involutions(n)) == standard_pairing(n)  # (1 2)(3 4)…
 
     def test_no_duplicates(self):
         seen = set(enumerate_contractions(1, 1))
@@ -130,71 +152,69 @@ class TestEnumeration:
 
 class TestConnectivity:
     def test_loop_contraction_connected(self):
-        assert is_connected(LOOP_CONTRACTION)
+        assert connected(LOOP_CONTRACTION)
 
     def test_two_straight_external_lines_disconnected(self):
-        assert not is_connected(Contraction(2, 0, (), (1, 2)))
+        assert not connected(Contraction(2, 0, (), (1, 2)))
 
     def test_two_crossed_external_lines_disconnected(self):
-        assert not is_connected(Contraction(2, 0, (), (2, 1)))
+        assert not connected(Contraction(2, 0, (), (2, 1)))
 
     def test_external_line_beside_vacuum_loop_disconnected(self):
         # bra1 -> ket1 directly while the two vertices pair off on their own
         w = Contraction(1, 2, (2, 1), (3, 2, 1))
-        assert not is_connected(w)
+        assert not connected(w)
+        with pytest.raises(ValueError, match="requires a connected contraction"):
+            to_map(w)
 
     def test_bare_external_line_connected(self):
-        assert is_connected(Contraction(1, 0, (), (1,)))
+        assert connected(Contraction(1, 0, (), (1,)))
 
     def test_crossed_but_photon_joined_is_connected(self):
         w = Contraction(2, 2, (2, 1), (1, 2, 4, 3))
-        assert is_connected(w)
-        assert not is_aligned(w)
+        assert connected(w)
+        assert not aligned(w)
+        with pytest.raises(ValueError, match="terminates at ket 2"):
+            to_map(w)
 
 
 class TestChainsAndAlignment:
     def test_loop_chain(self):
-        assert external_chains(LOOP_CONTRACTION) == [((1, 2), 1)]
+        assert chains(LOOP_CONTRACTION) == [((1, 2), 1)]
 
     def test_line_chain(self):
-        assert external_chains(LINE_CONTRACTION) == [((1,), 1)]
+        assert chains(LINE_CONTRACTION) == [((1,), 1)]
 
     def test_crossed_chains(self):
-        assert external_chains(Contraction(2, 0, (), (2, 1))) == [((), 2), ((), 1)]
+        assert chains(Contraction(2, 0, (), (2, 1))) == [((), 2), ((), 1)]
 
     def test_alignment(self):
-        assert is_aligned(LOOP_CONTRACTION)
-        assert is_aligned(Contraction(2, 0, (), (1, 2)))
-        assert not is_aligned(Contraction(2, 0, (), (2, 1)))
+        assert aligned(LOOP_CONTRACTION)
+        assert aligned(Contraction(2, 0, (), (1, 2)))
+        assert not aligned(Contraction(2, 0, (), (2, 1)))
 
 
 class TestLoopCount:
+    """A connected diagram has e − N + 1 independent cycles: the paper's loop number."""
+
     def test_loop_contraction(self):
-        assert loop_count(LOOP_CONTRACTION) == 1
+        assert components(LOOP_CONTRACTION) == (1, 1)
 
     def test_line_contraction(self):
-        assert loop_count(LINE_CONTRACTION) == 1
+        assert components(LINE_CONTRACTION) == (1, 1)
 
     def test_bare_external_line(self):
-        assert loop_count(Contraction(1, 0, (), (1,))) == 0
+        assert components(Contraction(1, 0, (), (1,))) == (1, 0)
 
     def test_example_map_contraction(self):
         from nrooted.ribbon import map_from_json
 
         w = from_map(map_from_json(EXAMPLE_MAP_JSON))
-        assert loop_count(w) == 4  # e - N + 1 = 6 - 3 + 1
+        assert components(w) == (1, 4)  # e - N + 1 = 6 - 3 + 1
 
     def test_disconnected_rejected(self):
-        with pytest.raises(ValueError):
-            loop_count(Contraction(2, 0, (), (1, 2)))
-
-    def test_wrong_cycle_count_is_a_consistency_error(self, monkeypatch):
-        monkeypatch.setattr(nrooted.wick, "_components", lambda *args: (1, 2))
-        with pytest.raises(
-            ConsistencyError,
-            match=r"diagram has 2 independent cycles, expected e − N \+ 1 = 1",
-        ):
-            loop_count(LOOP_CONTRACTION)
+        with pytest.raises(ValueError, match="requires a connected contraction"):
+            to_map(Contraction(2, 0, (), (1, 2)))
 
 
 class TestToMap:
@@ -238,7 +258,7 @@ class TestFromMap:
         for n_roots, edges in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]:
             for m in enumerate_maps(n_roots, edges):
                 w = from_map(m)
-                assert is_aligned(w) and is_connected(w)
+                assert aligned(w) and connected(w)
                 assert to_map(w) == m
 
 
@@ -257,7 +277,7 @@ class TestCounting:
 
     def test_indivisible_total_is_a_consistency_error(self, monkeypatch):
         # one contraction per photon matching: 3 for e = 2, against 4! = 24
-        monkeypatch.setattr(nrooted.wick, "_count_for_matching", lambda args: 1)
+        monkeypatch.setattr(nrooted.wick, "_aligned_connected_targets", lambda *args: [()])
         with pytest.raises(
             ConsistencyError,
             match=r"aligned connected total 3 is not divisible by \(2e\)! = 24",
@@ -268,10 +288,10 @@ class TestCounting:
         "n_external,edges", [(n, e) for e in range(4) for n in range(1, 8 - 2 * e)]
     )
     def test_every_matching_has_the_same_share(self, n_external, edges):
-        # all photon matchings are conjugate; count_connected_classes streams one
+        # all photon matchings are conjugate; both oracles scan only the first
         n = 2 * edges
         per_matching = [
-            nrooted.wick._count_for_matching((n_external, n, matching))
+            sum(1 for _ in _aligned_connected_targets(n_external, n, matching))
             for matching in fixed_point_free_involutions(n)
         ]
         share = 2**edges * factorial(edges) * m_count(n_external, edges)
@@ -286,9 +306,13 @@ class TestCounting:
         # a chain through no vertex is a component of its own, on every matching
         n = 2 * edges
         matching = next(fixed_point_free_involutions(n))
-        assert nrooted.wick._count_for_matching((n_external, n, matching)) == 0
-        monkeypatch.setattr(nrooted.wick, "_count_for_matching", None)  # the oracle streams none
+        targets = itertools.permutations(range(1, n + n_external + 1))
+        assert not any(
+            nrooted.wick._aligned_connected(n_external, n, matching, t) for t in targets
+        )
+        monkeypatch.setattr(nrooted.wick, "_aligned_connected", None)  # the scan tests none
         assert count_connected_classes(n_external, edges) == 0
+        assert bijection_class_multiset(n_external, edges) == {}
 
     @pytest.mark.parametrize(
         "n_external,edges,expected",
@@ -329,19 +353,25 @@ def relabel_contraction(w: Contraction, rho: tuple[int, ...]) -> Contraction:
 
 
 class TestBijection:
-    @pytest.mark.parametrize("n_external,edges", [(1, 1), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("n_external,edges", [(1, 1), (1, 2), (2, 1), (2, 3)])
     def test_fibers_have_size_exactly_vertex_factorial(self, n_external, edges):
         multiset = bijection_class_multiset(n_external, edges)
         assert all(c == factorial(2 * edges) for c in multiset.values())
         assert set(multiset) == set(enumerate_maps(n_external, edges))
 
+    @pytest.mark.parametrize(
+        "n_external,edges", [(n, e) for e in range(4) for n in range(1, 8 - 2 * e)]
+    )
+    def test_one_matching_equals_the_full_stream(self, n_external, edges):
+        assert bijection_class_multiset(n_external, edges) == full_stream_fibers(
+            n_external, edges
+        )
+
     @pytest.mark.parametrize("n_external,edges", [(1, 1), (1, 2), (2, 1)])
     def test_fiber_equals_vertex_relabeling_orbit(self, n_external, edges):
-        import itertools
-
         fibers: dict[RootedMap, set[Contraction]] = {}
         for w in enumerate_contractions(n_external, edges):
-            if is_connected(w) and is_aligned(w):
+            if connected(w) and aligned(w):
                 fibers.setdefault(canonical_form(to_map(w)), set()).add(w)
         for members in fibers.values():
             seed = next(iter(members))
@@ -353,24 +383,24 @@ class TestBijection:
 
     @pytest.mark.parametrize("n_external,edges", [(2, 1), (2, 2), (3, 2)])
     def test_free_ket_connected_count(self, n_external, edges):
-        free = sum(1 for w in enumerate_contractions(n_external, edges) if is_connected(w))
-        aligned = sum(
+        free = sum(1 for w in enumerate_contractions(n_external, edges) if connected(w))
+        kept = sum(
             1
             for w in enumerate_contractions(n_external, edges)
-            if is_connected(w) and is_aligned(w)
+            if connected(w) and aligned(w)
         )
-        assert free == factorial(n_external) * aligned
+        assert free == factorial(n_external) * kept
 
 
 class TestOneFilter:
-    """Both oracles share one aligned-connected filter and validate each map once."""
+    """Both oracles share one aligned-connected scan and validate each map once."""
 
     @pytest.mark.parametrize("n_external,edges", [(1, 2), (2, 2), (3, 1)])
     def test_filter_matches_public_predicates(self, n_external, edges):
         from nrooted.wick import _aligned_connected
 
         for w in enumerate_contractions(n_external, edges):
-            expected = is_aligned(w) and is_connected(w)
+            expected = aligned(w) and connected(w)
             got = _aligned_connected(n_external, 2 * edges, w.photon, w.targets)
             assert got == expected
 
@@ -395,9 +425,10 @@ class TestOneFilter:
         monkeypatch.setattr(nrooted.wick, "validate", counted_validate)
         monkeypatch.setattr(nrooted.wick, "_check_contraction", counted_check)
         fibers = bijection_class_multiset(n_external, edges)
-        accepted = sum(fibers.values())
-        assert accepted == m_count(n_external, edges) * factorial(2 * edges)
-        assert calls == {"validate": accepted, "check": 0}
+        assert sum(fibers.values()) == m_count(n_external, edges) * factorial(2 * edges)
+        # one matching: each class's 2^e·e! contractions on it
+        on_one_matching = m_count(n_external, edges) * 2**edges * factorial(edges)
+        assert calls == {"validate": on_one_matching, "check": 0}
 
     def test_invalid_built_map_is_a_consistency_failure(self, monkeypatch):
         fixed_point_pairing = RootedMap(2, (1, 2), (2, 1), (1,))
@@ -492,16 +523,3 @@ class TestSerialization:
         message = r"^contraction JSON missing keys: \['electron_targets', 'photon_pairs'\]$"
         with pytest.raises(ValueError, match=message):
             contraction_from_json({"n_external": 1, "n_vertices": 2})
-
-    def test_dot_snapshot(self):
-        assert contraction_to_dot(LOOP_CONTRACTION) == (
-            "digraph contraction {\n"
-            "  ext1 [shape=plaintext];\n"
-            "  v1 [shape=circle];\n"
-            "  v2 [shape=circle];\n"
-            "  ext1 -> v1;\n"
-            "  v1 -> v2;\n"
-            "  v2 -> ext1;\n"
-            "  v1 -> v2 [style=dashed, dir=none];\n"
-            "}"
-        )
