@@ -376,22 +376,14 @@ def genus_profile(n_roots: int, edges: int) -> dict[int, int]:
 
 
 def _oriented_cycles(m: RootedMap) -> list[list[int]]:
-    """σ-cycles for output: root cycles rotated root-first, others smallest-first,
-    the list ordered by each cycle's smallest element."""
+    """σ-cycles for output, as :func:`cycles_of` orders them (smallest-first,
+    by smallest element), with each root cycle rotated to its root."""
     root_set = set(m.roots)
-    out: list[tuple[int, list[int]]] = []
+    out = []
     for cyc in cycles_of(m.sigma):
-        anchor = None
-        for h in cyc:
-            if h in root_set:
-                anchor = h
-                break
-        rotated = list(cyc)
-        if anchor is not None:
-            i = rotated.index(anchor)
-            rotated = rotated[i:] + rotated[:i]
-        out.append((min(cyc), rotated))
-    return [cyc for _, cyc in sorted(out, key=lambda item: item[0])]
+        i = next((i for i, h in enumerate(cyc) if h in root_set), 0)
+        out.append(list(cyc[i:] + cyc[:i]))
+    return out
 
 
 def map_to_json(m: RootedMap) -> dict:
@@ -399,10 +391,9 @@ def map_to_json(m: RootedMap) -> dict:
     _require_valid(m, "map_to_json")
     if m.is_point:
         return {"half_edges": 0, "alpha": [], "sigma": [], "roots": []}
-    alpha_cycles = sorted([list(c) for c in cycles_of(m.alpha)])
     return {
         "half_edges": m.half_edges,
-        "alpha": alpha_cycles,
+        "alpha": [list(c) for c in cycles_of(m.alpha)],
         "sigma": _oriented_cycles(m),
         "roots": list(m.roots),
     }

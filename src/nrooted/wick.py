@@ -10,9 +10,10 @@ Following π from bra_k passes through a chain of vertices and terminates at
 some ket.  The bijection with N-rooted maps covers the *aligned* connected
 contractions — those whose chain from bra_k ends at ket_k for every k:
 
-* vertices become half-edges, the photon matching becomes the edge
-  involution, chains and internal π-cycles become vertex cycles, and the
-  first vertex on chain k becomes root k (:func:`to_map` / :func:`from_map`);
+* vertices become half-edges and the photon matching the edge involution;
+  root k is π(bra_k), and σ is π with each ket_k read as root k, so chain k
+  closes into root k's vertex cycle and internal π-cycles stay as they are
+  (:func:`to_map`; :func:`from_map` makes the reverse substitution);
 * vertex relabelings act freely on aligned connected contractions, so each
   isomorphism class of maps corresponds to exactly (2e)! of them — division
   by (2e)! is the second independent counting oracle
@@ -43,7 +44,6 @@ from .errors import BoundExceededError, ConsistencyError, _require_json_object
 from .permutations import (
     Perm,
     _pairing_components as _components,
-    cycles_of,
     fixed_point_free_involutions,
     is_involution_without_fixed_points,
     standard_pairing,
@@ -139,17 +139,12 @@ def _iter_contractions(n_external: int, edges: int):
             yield Contraction(n_external, n, matching, targets)
 
 
-def _chains(big_n: int, n: int, targets) -> list[tuple[tuple[int, ...], int]]:
-    """For each bra_k in order: (vertices passed through, index of the ket reached)."""
-    chains = []
-    for k in range(big_n):
-        path = []
-        t = targets[k]
-        while t <= n:
-            path.append(t)
-            t = targets[big_n + t - 1]
-        chains.append((tuple(path), t - n))
-    return chains
+def _ket_reached(big_n: int, n: int, targets, k: int) -> int:
+    """The index of the ket that the chain from bra_k reaches."""
+    t = targets[k - 1]
+    while t <= n:
+        t = targets[big_n + t - 1]
+    return t - n
 
 
 def _aligned_connected(big_n: int, n: int, photon: Perm, targets) -> bool:
@@ -159,10 +154,7 @@ def _aligned_connected(big_n: int, n: int, photon: Perm, targets) -> bool:
     only aligned contractions reach the connectivity pass.  Unchecked.
     """
     for k in range(1, big_n + 1):
-        t = targets[k - 1]
-        while t <= n:
-            t = targets[big_n + t - 1]
-        if t != n + k:
+        if _ket_reached(big_n, n, targets, k) != k:
             return False
     return _components(big_n, n, photon, targets)[0] == 1
 
@@ -178,19 +170,16 @@ def _aligned_connected_targets(big_n: int, n: int, photon: Perm):
             yield targets
 
 
-def _build_map(photon: Perm, targets, chains) -> RootedMap:
-    """The map of an aligned connected contraction, given its external chains.
-
-    Unchecked: π already is σ on every vertex except the last of each chain,
-    whose σ-image closes the chain into the root's cycle.
-    """
-    if not photon:
+def _build_map(photon: Perm, targets) -> RootedMap:
+    """The map of an aligned connected contraction: σ is π with each ket_k
+    read as root k = π(bra_k).  Unchecked."""
+    n = len(photon)
+    if not n:
         return point_map()
-    big_n = len(chains)
-    sigma = list(targets[big_n:])
-    for path, _ in chains:
-        sigma[path[-1] - 1] = path[0]
-    return RootedMap(len(photon), photon, tuple(sigma), tuple(p[0] for p, _ in chains))
+    big_n = len(targets) - n
+    roots = tuple(targets[:big_n])
+    sigma = tuple(t if t <= n else roots[t - n - 1] for t in targets[big_n:])
+    return RootedMap(n, photon, sigma, roots)
 
 
 def _valid(m: RootedMap) -> RootedMap:
@@ -206,10 +195,11 @@ def to_map(w: Contraction) -> RootedMap:
     """Build the N-rooted map of a connected aligned contraction.
 
     Vertices become half-edges and the photon matching the edge involution;
-    the vertex chain from bra_k becomes the σ-cycle of root k (the chain's
-    first vertex), and internal π-cycles become unrooted σ-cycles.  Raises
-    ValueError when the contraction is disconnected, has no external line,
-    or has a chain ending at the wrong ket (outside the bijection's domain).
+    root k is π(bra_k), and σ is π with each ket_k replaced by root k.  So
+    the vertex chain from bra_k closes into root k's σ-cycle, and internal
+    π-cycles become unrooted σ-cycles.  Raises ValueError when the
+    contraction is disconnected, has no external line, or has a chain ending
+    at the wrong ket (outside the bijection's domain).
     """
     _check_contraction(w)
     big_n, n = w.n_external, w.n_vertices
@@ -217,50 +207,33 @@ def to_map(w: Contraction) -> RootedMap:
         raise ValueError("to_map requires at least one external line")
     if _components(big_n, n, w.photon, w.targets)[0] != 1:
         raise ValueError("to_map requires a connected contraction")
-    chains = _chains(big_n, n, w.targets)
-    for k, (_, end) in enumerate(chains, start=1):
+    for k in range(1, big_n + 1):
+        end = _ket_reached(big_n, n, w.targets, k)
         if end != k:
             raise ValueError(
                 f"external chain {k} terminates at ket {end}; "
                 "only aligned contractions correspond to rooted maps"
             )
-    return _valid(_build_map(w.photon, w.targets, chains))
+    return _valid(_build_map(w.photon, w.targets))
 
 
 def from_map(m: RootedMap) -> Contraction:
     """Build the aligned contraction whose image under :func:`to_map` is m's class.
 
-    Root k's σ-cycle, read root-first, becomes the chain bra_k → ĥ_k → … →
-    ket_k; unrooted σ-cycles become internal π-cycles recorded from their
-    smallest vertex.  The edgeless 1-rooted map becomes the bare line
-    bra₁ → ket₁.
+    The substitution of :func:`to_map` read backwards: π(bra_k) is root k,
+    and π is σ with each root k replaced by ket_k.  So root k's σ-cycle, read
+    root-first, becomes the chain bra_k → root k → … → ket_k, and unrooted
+    σ-cycles become internal π-cycles.  The edgeless 1-rooted map becomes the
+    bare line bra₁ → ket₁.
     """
     _require_valid(m, "from_map")
     if m.is_point:
         return Contraction(1, 0, (), (1,))
 
     n = m.half_edges
-    big_n = len(m.roots)
-    targets = [0] * (big_n + n)
-    in_root_cycle = [False] * (n + 1)
-    for k, r in enumerate(m.roots, start=1):
-        cyc = [r]
-        h = m.sigma[r - 1]
-        while h != r:
-            cyc.append(h)
-            h = m.sigma[h - 1]
-        targets[k - 1] = cyc[0]
-        for i, v in enumerate(cyc):
-            targets[big_n + v - 1] = cyc[i + 1] if i + 1 < len(cyc) else n + k
-            in_root_cycle[v] = True
-
-    for cyc in cycles_of(m.sigma):
-        if in_root_cycle[cyc[0]]:
-            continue
-        for i, v in enumerate(cyc):
-            targets[big_n + v - 1] = cyc[(i + 1) % len(cyc)]
-
-    return Contraction(big_n, n, m.alpha, tuple(targets))
+    ket = {r: n + k for k, r in enumerate(m.roots, start=1)}
+    sigma = tuple(ket.get(h, h) for h in m.sigma)
+    return Contraction(len(m.roots), n, m.alpha, tuple(m.roots) + sigma)
 
 
 def count_connected_classes(n_external: int, edges: int) -> int:
@@ -313,7 +286,7 @@ def bijection_class_multiset(n_external: int, edges: int) -> dict[RootedMap, int
     photon = standard_pairing(n)
     fibers: dict[RootedMap, int] = {}
     for targets in _aligned_connected_targets(n_external, n, photon):
-        m = _valid(_build_map(photon, targets, _chains(n_external, n, targets)))
+        m = _valid(_build_map(photon, targets))
         key = _canonical_relabeling(m)
         fibers[key] = fibers.get(key, 0) + 1
     matchings = factorial(n) // (2**edges * factorial(edges))

@@ -269,7 +269,9 @@ class TestCountCommand:
     @pytest.mark.parametrize(
         "n, edges, message",
         [("17", "1", "--n 17 exceeds its bound of 16"),
-         ("1", "129", "--edges 129 exceeds its bound of 128")],
+         ("1", "129", "--edges 129 exceeds its bound of 128"),
+         ("0", "1", "--n must be at least 1"),
+         ("1", "-1", "--edges must be non-negative")],
     )
     def test_theorem2_beyond_its_bounds_is_usage_error(self, capsys, n, edges, message):
         code, out, err = run(
@@ -277,7 +279,7 @@ class TestCountCommand:
         )
         assert code == 2
         assert out == ""
-        assert message in err
+        assert err == f"error: {message}\n"
 
     def test_theorem2_at_its_bounds(self, capsys):
         for n, edges in [("16", "15"), ("1", "128")]:
@@ -509,6 +511,30 @@ class TestVerifyCommand:
             }
         ]
         assert err == "FAIL m3-in-m1: at λ^2·M₁^1: 7 != 8\n"
+
+    def test_wrong_published_znp_fails_alone(self, capsys, monkeypatch):
+        # Z_{1,1} reads 91 at λ^5 where the paper prints 90
+        from nrooted.series import Series
+
+        real = nrooted.relations.z_np_series
+
+        def perturbed(n, p, order):
+            series = real(n, p, order)
+            return series + Series.monomial(1, 5, order) if (n, p) == (1, 1) else series
+
+        monkeypatch.setattr(nrooted.relations, "z_np_series", perturbed)
+        code, out, err = run(capsys, "verify", "--suite", "tables")
+        assert code == 1
+        failed = [r for r in json.loads(out) if not r["pass"]]
+        assert failed == [
+            {
+                "identity": "znp-1-1-coefficient",
+                "order_checked": 5,
+                "pass": False,
+                "first_failure_power": 5,
+            }
+        ]
+        assert err == "FAIL znp-1-1-coefficient: at λ^5: 91 != 90\n"
 
     @pytest.mark.parametrize(
         "perturb,first",
@@ -788,6 +814,20 @@ class TestDispatch:
         assert code == 0
         found = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", out))
         assert sorted(found) == OPTION_STRINGS[command]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["series", "--family", "znp", "--n", "-1", "--p", "1"],
+             "family znp requires --n >= 0"),
+            (["series", "--family", "z", "--n", "0", "--order", "-1"],
+             "order must be non-negative"),
+            (["verify", "--suite", "ode", "--order", "-1"], "order must be non-negative"),
+        ],
+        ids=["series-znp-n", "series-order", "verify-order"],
+    )
+    def test_negative_value_is_usage_error(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2

@@ -5,6 +5,7 @@
 cycles) along the matching.  The reference here walks the explicit diagram
 graph instead, breadth first: one node per bra, vertex and ket, one edge per
 photon pair and electron arrow, and the cycle rank edges − nodes + components.
+The refusals of the other ``permutations`` builders close the file.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrooted.permutations import fixed_point_free_involutions
+from nrooted.permutations import fixed_point_free_involutions, from_cycles
 from nrooted.ribbon import _is_transitive
 from nrooted.wick import (
     MAX_SLOTS,
@@ -140,3 +141,15 @@ def test_predicates_match_the_reference_at_the_slot_bound(w):
     else:
         with pytest.raises(ValueError, match="requires a connected contraction"):
             to_map(w)
+
+
+class TestPermutationRefusals:
+    def test_cycle_entry_out_of_range(self):
+        with pytest.raises(ValueError, match="^cycle entry 3 outside 1..2$"):
+            from_cycles(2, [(3,)])
+
+    def test_odd_ground_set_has_no_fixed_point_free_involution(self):
+        with pytest.raises(
+            ValueError, match="^a fixed-point-free involution needs an even ground set$"
+        ):
+            list(fixed_point_free_involutions(3))

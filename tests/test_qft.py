@@ -119,6 +119,8 @@ class TestZNpSeries:
             z_np_series(-1, 0, 4)
         with pytest.raises(ValueError):
             z_np_series(0, -1, 4)
+        with pytest.raises(ValueError, match="^order must be non-negative$"):
+            z_np_series(0, 0, -1)
 
 
 class TestZRecursion:
@@ -128,6 +130,10 @@ class TestZRecursion:
 
     def test_low_order(self):
         assert z_recursion(2, 2) == S(2, 0, 12)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="^n must be non-negative$"):
+            z_recursion(-1, 4)
 
 
 class TestM0:
@@ -269,6 +275,11 @@ class TestCompositionSums:
         for t in range(total + 1):
             assert [row[t] for row in rows[: t + 1]] == brute_composition_sums(f, t)
             assert all(row[t] == 0 for row in rows[t + 1 :])
+
+    def test_double_factorial_below_minus_one_rejected(self):
+        assert double_factorial(-1) == 1
+        with pytest.raises(ValueError, match="^double factorial undefined for n=-2$"):
+            double_factorial(-2)
 
 
 class TestMCount:

@@ -117,6 +117,10 @@ class TestRSeries:
         with pytest.raises(ValueError):
             r_series(-3, 6)
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="^order must be non-negative$"):
+            r_series(1, -1)
+
 
 class TestDerivativeBasis:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -266,6 +270,10 @@ class TestRatioPolynomials:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             zj_over_z0_in_m1(-1, 8)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="^order must be non-negative$"):
+            zj_over_z0_in_m1(1, -1)
 
 
 class TestHigherMomentsInFirstMoment:

@@ -153,6 +153,7 @@ class TestFacesAndGenus:
         assert genus(torus_map()) == 1
 
     def test_point(self):
+        assert faces(point_map()) == []
         assert genus(point_map()) == 0
 
     def test_roots_do_not_affect_the_surface(self):
@@ -230,6 +231,9 @@ class TestRelabel:
         with pytest.raises(ValueError):
             relabel(example_map, (1, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12))
 
+    def test_point_map_relabels_to_itself(self):
+        assert relabel(point_map(), ()) == point_map()
+
 
 def reference_is_canonical(alpha, sigma, n_roots: int, n: int) -> bool:
     """Does the rooted breadth-first traversal from roots (1..N) visit
@@ -304,6 +308,10 @@ class TestEnumeration:
     def test_nonpositive_roots_rejected(self):
         with pytest.raises(ValueError):
             enumerate_maps(0, 1)
+
+    def test_negative_edges_rejected(self):
+        with pytest.raises(ValueError, match="^edges must be non-negative$"):
+            enumerate_maps(1, -1)
 
     def test_bound_enforced(self):
         with pytest.raises(BoundExceededError):

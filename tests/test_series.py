@@ -52,6 +52,29 @@ class TestConstruction:
         with pytest.raises(ValueError, match="order must be non-negative"):
             Series.zero(-3)
 
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: Series([]), ValueError,
+             "a series needs at least the constant coefficient"),
+            (lambda: Series([1, 2], order=0), ValueError,
+             "2 coefficients exceed requested order 0"),
+            (lambda: Series.monomial(1, -1, 3), ValueError,
+             "monomial power must be non-negative"),
+            (lambda: S(1, 2).shifted(-1), ValueError, "shift must be non-negative"),
+            (lambda: S(1, 2) / 0, ZeroDivisionError, "division of a series by zero"),
+            (lambda: S(1, 2) * 1.5, TypeError,
+             "unsupported operand type(s) for *: 'Series' and 'float'"),
+            (lambda: S(1, 2) / 1.5, TypeError,
+             "unsupported operand type(s) for /: 'Series' and 'float'"),
+        ],
+        ids=["empty", "too-many-coefficients", "negative-monomial-power",
+             "negative-shift", "divide-by-zero", "times-float", "over-float"],
+    )
+    def test_refusal_names_its_cause(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
 
 class TestArithmetic:
     def test_add_example(self):
@@ -82,6 +105,9 @@ class TestArithmetic:
         b = S(1, 1)  # order 1
         assert (a + b).order == 1
         assert (a * b).order == 1
+
+    def test_integer_minus_series(self):
+        assert 1 - S(1, 2, 3) == S(0, -2, -3)
 
     def test_invert_geometric(self):
         inv = S(1, 0, 1, 0, 0, 0).invert()
@@ -250,8 +276,9 @@ class TestSerialization:
             ({"order": 0}, "series JSON missing keys: ['coeffs']"),
             ({"order": 0, "coeffs": ["1/1"], "extra": 5},
              "series JSON has unknown keys: ['extra']"),
+            ({"order": 0, "coeffs": [1]}, "coefficient must be a 'num/den' string: 1"),
         ],
-        ids=[f"data{i}" for i in range(11)],
+        ids=[f"data{i}" for i in range(12)],
     )
     def test_json_rejects_malformed(self, data, message):
         # the object and key wording is the map and contraction readers' too

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -9,14 +10,14 @@ import pytest
 
 import nrooted.wick
 from nrooted.errors import BoundExceededError, ConsistencyError
-from nrooted.permutations import fixed_point_free_involutions, standard_pairing
+from nrooted.permutations import cycles_of, fixed_point_free_involutions, standard_pairing
 from nrooted.qft import m_count, z_series
-from nrooted.ribbon import RootedMap, canonical_form, enumerate_maps, point_map
+from nrooted.ribbon import RootedMap, canonical_form, enumerate_maps, point_map, relabel
 from nrooted.wick import (
     MAX_SLOTS,
     Contraction,
     _aligned_connected_targets,
-    _chains,
+    _build_map,
     _components,
     bijection_class_multiset,
     contraction_from_json,
@@ -63,7 +64,16 @@ def components(w: Contraction) -> tuple[int, int]:
 
 def chains(w: Contraction) -> list[tuple[tuple[int, ...], int]]:
     """For each bra_k in order: (vertices passed through, index of the ket reached)."""
-    return _chains(w.n_external, w.n_vertices, w.targets)
+    big_n, n = w.n_external, w.n_vertices
+    out = []
+    for k in range(big_n):
+        path = []
+        t = w.targets[k]
+        while t <= n:
+            path.append(t)
+            t = w.targets[big_n + t - 1]
+        out.append((tuple(path), t - n))
+    return out
 
 
 def connected(w: Contraction) -> bool:
@@ -260,6 +270,83 @@ class TestFromMap:
                 w = from_map(m)
                 assert aligned(w) and connected(w)
                 assert to_map(w) == m
+
+
+def chain_walk_from_map(m: RootedMap) -> Contraction:
+    """Reference for from_map: walk each root's σ-cycle into its chain."""
+    if m.is_point:
+        return Contraction(1, 0, (), (1,))
+    n, big_n = m.half_edges, len(m.roots)
+    targets = [0] * (big_n + n)
+    in_root_cycle = [False] * (n + 1)
+    for k, r in enumerate(m.roots, start=1):
+        cyc = [r]
+        h = m.sigma[r - 1]
+        while h != r:
+            cyc.append(h)
+            h = m.sigma[h - 1]
+        targets[k - 1] = r
+        for i, v in enumerate(cyc):
+            targets[big_n + v - 1] = cyc[i + 1] if i + 1 < len(cyc) else n + k
+            in_root_cycle[v] = True
+    for cyc in cycles_of(m.sigma):
+        if not in_root_cycle[cyc[0]]:
+            for i, v in enumerate(cyc):
+                targets[big_n + v - 1] = cyc[(i + 1) % len(cyc)]
+    return Contraction(big_n, n, m.alpha, tuple(targets))
+
+
+def chain_walk_build_map(photon, targets) -> RootedMap:
+    """Reference for _build_map: close each chain's last vertex onto its first."""
+    if not photon:
+        return point_map()
+    n = len(photon)
+    paths = [path for path, _ in chains(Contraction(len(targets) - n, n, photon, targets))]
+    sigma = list(targets[len(paths):])
+    for path in paths:
+        sigma[path[-1] - 1] = path[0]
+    return RootedMap(n, photon, tuple(sigma), tuple(path[0] for path in paths))
+
+
+class TestSubstitutionMatchesChainWalk:
+    """The bijection as one substitution agrees with walking every chain."""
+
+    @staticmethod
+    def check_from_map(m: RootedMap) -> None:
+        w = from_map(m)
+        assert w == chain_walk_from_map(m)
+        assert to_map(w) == m
+
+    def test_point_map(self):
+        self.check_from_map(point_map())
+
+    @pytest.mark.parametrize(
+        "n_roots,edges", [(n, e) for n in range(1, 4) for e in range(3)]
+    )
+    def test_from_map_on_every_relabeling(self, n_roots, edges):
+        for m in enumerate_maps(n_roots, edges):
+            for rho in itertools.permutations(range(1, 2 * edges + 1)):
+                self.check_from_map(relabel(m, rho))
+
+    @pytest.mark.parametrize("n_roots", [1, 2, 3])
+    def test_from_map_on_seeded_relabelings(self, n_roots):
+        rng = random.Random(n_roots)
+        for m in enumerate_maps(n_roots, 3):
+            for _ in range(50):
+                self.check_from_map(relabel(m, tuple(rng.sample(range(1, 7), 6))))
+
+    @pytest.mark.parametrize(
+        "n_external,edges",
+        [(n, e) for e in range(4) for n in range(1, 8 - 2 * e)],
+    )
+    def test_build_map_on_one_matching(self, n_external, edges):
+        n = 2 * edges
+        photon = standard_pairing(n)
+        for targets in _aligned_connected_targets(n_external, n, photon):
+            m = _build_map(photon, targets)
+            assert m == chain_walk_build_map(photon, targets)
+            assert from_map(m) == Contraction(n_external, n, photon, targets)
+            assert to_map(from_map(m)) == m
 
 
 class TestCounting:
