@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 import time
-from collections import namedtuple
 from math import factorial
 from typing import TYPE_CHECKING
 
@@ -30,7 +29,7 @@ if TYPE_CHECKING:
     from .relations import VerificationReport
     from .series import Series
 
-__all__ = ["main", "entry_point", "CountReport"]
+__all__ = ["main", "entry_point"]
 
 DEFAULT_ORDER = 12
 
@@ -52,30 +51,6 @@ MAX_PHOTON_POWER = 2048
 #: (N, e) pairs covered by the bijection suite at desk scale.
 BIJECTION_CASES = [(1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (1, 3)]
 FIBER_CASES = [(1, 1), (1, 2), (2, 1)]
-
-
-class CountReport(
-    namedtuple(
-        "CountReport",
-        "n_roots edges method value genus_profile elapsed_ms",
-        defaults=(None, 0),
-    )
-):
-    """One counting run, for the count-command JSON; ``genus_profile`` may be None."""
-
-    __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "n_roots": self.n_roots,
-            "edges": self.edges,
-            "method": self.method,
-            "value": self.value,
-        }
-        if self.genus_profile is not None:
-            out["genus_profile"] = {str(g): c for g, c in self.genus_profile.items()}
-        out["elapsed_ms"] = self.elapsed_ms
-        return out
 
 
 def _check_bound(flag: str, value: int, bound: int) -> None:
@@ -184,9 +159,11 @@ def _cmd_count(args) -> int:
         _check_threads(args.threads)
         value = count_connected_classes(n, e)
 
-    elapsed_ms = int(round((time.monotonic() - started) * 1000))
-    report = CountReport(n, e, args.method, value, profile, elapsed_ms)
-    print(json.dumps(report.to_json_dict(), indent=2))
+    report: dict = {"n_roots": n, "edges": e, "method": args.method, "value": value}
+    if profile is not None:
+        report["genus_profile"] = {str(g): c for g, c in profile.items()}
+    report["elapsed_ms"] = int(round((time.monotonic() - started) * 1000))
+    print(json.dumps(report, indent=2))
     return 0
 
 

@@ -4,11 +4,18 @@ A permutation on n points is stored as a tuple `p` of length n with
 ``p[i - 1]`` the image of i (images are 1-based as well).  This matches the
 half-edge labelling used throughout the package, where half-edges are numbered
 1..2e.
+
+``_one_pairing_orbits`` turns the count of both (2e)!-division oracles, made
+on one pairing, into classes.
 """
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Iterable, Iterator, Sequence
+
+from .combinat import double_factorial
+from .errors import ConsistencyError
 
 Perm = tuple[int, ...]
 
@@ -105,6 +112,18 @@ def fixed_point_free_involutions(n: int) -> Iterator[Perm]:
 def standard_pairing(n: int) -> Perm:
     """(1 2)(3 4)… on {1..n}, n even: the one pairing every counting oracle scans."""
     return tuple(h + 1 if h % 2 else h - 1 for h in range(1, n + 1))
+
+
+def _one_pairing_orbits(count: int, edges: int, what: str) -> int:
+    """The class count from ``count`` labeled objects on the pairing (1 2)(3 4)…
+    of 2e points: all (2e−1)!! pairings carry as many, being conjugate, and
+    each class has (2e)! labelings.  An inexact division is a
+    :class:`ConsistencyError` that names the ``what`` total."""
+    total = count * double_factorial(2 * edges - 1)
+    denom = factorial(2 * edges)
+    if total % denom:
+        raise ConsistencyError(f"{what} total {total} is not divisible by (2e)! = {denom}")
+    return total // denom
 
 
 class UnionFind:

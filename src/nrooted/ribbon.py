@@ -27,6 +27,7 @@ from math import factorial
 from .errors import BoundExceededError, ConsistencyError, _require_json_object
 from .permutations import (
     Perm,
+    _one_pairing_orbits,
     _pairing_components,
     compose,
     cycles_of,
@@ -79,9 +80,6 @@ class RootedMap(namedtuple("RootedMap", "half_edges alpha sigma roots")):
     @property
     def is_point(self) -> bool:
         return self.half_edges == 0
-
-    def vertex_cycles(self) -> list[tuple[int, ...]]:
-        return cycles_of(self.sigma)
 
     def __repr__(self):
         if self.is_point:
@@ -161,8 +159,6 @@ def _require_valid(m: RootedMap, context: str) -> None:
 
 def faces(m: RootedMap) -> list[tuple[int, ...]]:
     """The face cycles, i.e. the cycle decomposition of σ⁻¹∘α."""
-    if m.is_point:
-        return []
     return cycles_of(compose(inverse(m.sigma), m.alpha))
 
 
@@ -206,8 +202,6 @@ def canonical_form(m: RootedMap) -> RootedMap:
     and then α(h) from each dequeued half-edge.  The traversal rule is an
     arbitrary but fixed convention, normative for the serialized format.
     """
-    if m.is_point:
-        return m
     _require_valid(m, "canonical_form")
     return _canonical_relabeling(m)
 
@@ -223,8 +217,6 @@ def _canonical_relabeling(m: RootedMap) -> RootedMap:
 
 def relabel(m: RootedMap, perm: Perm) -> RootedMap:
     """Rename half-edges by ``perm`` (half-edge h becomes perm[h-1])."""
-    if m.is_point:
-        return m
     if not _is_perm(perm, m.half_edges):
         raise ValueError(f"relabeling must be a permutation of 1..{m.half_edges}")
     return _renamed(m, perm)
@@ -351,14 +343,7 @@ def count_maps_by_division(n_roots: int, edges: int) -> int:
             for k in range(min(n_roots, len(sizes)), 0, -1):
                 elementary[k] += elementary[k - 1] * s
         total += factorial(n_roots) * elementary[n_roots]
-    total *= factorial(n) // (2**edges * factorial(edges))  # (2e−1)!! pairings
-
-    denom = factorial(n)
-    if total % denom != 0:
-        raise ConsistencyError(
-            f"labeled-map total {total} is not divisible by (2e)! = {denom}"
-        )
-    return total // denom
+    return _one_pairing_orbits(total, edges, "labeled-map")
 
 
 def genus_profile(n_roots: int, edges: int) -> dict[int, int]:
@@ -389,8 +374,6 @@ def _oriented_cycles(m: RootedMap) -> list[list[int]]:
 def map_to_json(m: RootedMap) -> dict:
     """Serialize to the stable JSON shape (1-indexed, deterministic cycle order)."""
     _require_valid(m, "map_to_json")
-    if m.is_point:
-        return {"half_edges": 0, "alpha": [], "sigma": [], "roots": []}
     return {
         "half_edges": m.half_edges,
         "alpha": [list(c) for c in cycles_of(m.alpha)],

@@ -24,9 +24,9 @@ Truncation-order rules
 
 Serialization
 -------------
-``to_json_dict`` / ``from_json_dict`` use ``{"order": K, "coeffs":
-["num/den", ...]}`` with ``len(coeffs) == K + 1`` and every rational written
-in lowest terms with an explicit denominator.
+``to_json_dict`` writes ``{"order": K, "coeffs": ["num/den", ...]}`` with
+``len(coeffs) == K + 1`` and every rational in lowest terms with an explicit
+denominator.  Series JSON is output only: no reader parses it back.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable, Sequence, TypeVar, Union
 
-from .errors import ConsistencyError, _require_json_object
+from .errors import ConsistencyError
 
 Rational = Union[int, Fraction]
 T = TypeVar("T")
@@ -392,23 +392,3 @@ class Series:
             "order": self.order,
             "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coefficients],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Series":
-        _require_json_object(data, "series", {"order", "coeffs"})
-        order, coeffs = data["order"], data["coeffs"]
-        if type(order) is not int or order < 0:  # JSON true/false are bools
-            raise ValueError(f"invalid series order: {order!r}")
-        if not isinstance(coeffs, list) or len(coeffs) != order + 1:
-            raise ValueError(
-                f"series of order {order} needs exactly {order + 1} coefficients"
-            )
-        parsed = []
-        for entry in coeffs:
-            if not isinstance(entry, str):
-                raise ValueError(f"coefficient must be a 'num/den' string: {entry!r}")
-            try:
-                parsed.append(Fraction(entry))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad rational {entry!r}: {exc}") from exc
-        return cls(parsed)

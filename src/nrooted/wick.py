@@ -21,7 +21,7 @@ contractions — those whose chain from bra_k ends at ket_k for every k:
 
 All photon matchings are conjugate, so each class has 2^e·e! contractions on
 each of them: both contraction oracles scan the one matching (1 2)(3 4)… and
-scale by the (2e−1)!! matchings.
+scale by the (2e−1)!! matchings (``permutations._one_pairing_orbits``).
 
 Connectivity treats bra_k and ket_k as separate leaf nodes: a chain that
 enters at bra_k and leaves at ket_j is a path, never a cycle, so e.g. the
@@ -40,9 +40,11 @@ from collections import namedtuple
 from math import factorial
 from typing import TYPE_CHECKING
 
+from .combinat import double_factorial
 from .errors import BoundExceededError, ConsistencyError, _require_json_object
 from .permutations import (
     Perm,
+    _one_pairing_orbits,
     _pairing_components as _components,
     fixed_point_free_involutions,
     is_involution_without_fixed_points,
@@ -128,15 +130,13 @@ def enumerate_contractions(n_external: int, edges: int):
     as a list.  Bounds are checked eagerly, before the first item is drawn.
     """
     _check_bounds(n_external, edges)
-    return _iter_contractions(n_external, edges)
-
-
-def _iter_contractions(n_external: int, edges: int):
     n = 2 * edges
     in_slots = tuple(range(1, n + n_external + 1))
-    for matching in fixed_point_free_involutions(n):
-        for targets in itertools.permutations(in_slots):
-            yield Contraction(n_external, n, matching, targets)
+    return (
+        Contraction(n_external, n, matching, targets)
+        for matching in fixed_point_free_involutions(n)
+        for targets in itertools.permutations(in_slots)
+    )
 
 
 def _ket_reached(big_n: int, n: int, targets, k: int) -> int:
@@ -239,22 +239,15 @@ def from_map(m: RootedMap) -> Contraction:
 def count_connected_classes(n_external: int, edges: int) -> int:
     """Number of map classes counted through the contraction oracle.
 
-    Counts aligned connected contractions and divides by (2e)!; the quotient
-    is exact because vertex relabelings act freely on them.  All photon
-    matchings are conjugate, so each has the same share: one is scanned.
+    Counts the aligned connected contractions on one photon matching, all
+    matchings being conjugate; relabelings act freely, so (2e)! divides.
     """
     _check_bounds(n_external, edges)
     if n_external < 1:
         raise ValueError("count_connected_classes requires n_external >= 1")
     n = 2 * edges
     total = sum(1 for _ in _aligned_connected_targets(n_external, n, standard_pairing(n)))
-    total *= factorial(n) // (2**edges * factorial(edges))  # (2e−1)!! matchings
-    denom = factorial(n)
-    if total % denom != 0:
-        raise ConsistencyError(
-            f"aligned connected total {total} is not divisible by (2e)! = {denom}"
-        )
-    return total // denom
+    return _one_pairing_orbits(total, edges, "aligned connected")
 
 
 def total_weighted_classes(n_external: int, edges: int) -> Fraction:
@@ -289,7 +282,7 @@ def bijection_class_multiset(n_external: int, edges: int) -> dict[RootedMap, int
         m = _valid(_build_map(photon, targets))
         key = _canonical_relabeling(m)
         fibers[key] = fibers.get(key, 0) + 1
-    matchings = factorial(n) // (2**edges * factorial(edges))
+    matchings = double_factorial(n - 1)
     return {key: size * matchings for key, size in fibers.items()}
 
 

@@ -2,8 +2,10 @@
 ``series.py`` touches the private storage of ``Series``, ``cli.py`` imports
 no private name, only ``relations.attempt`` builds a verification report and
 only ``permutations._pairing_components`` a union-find,
-no module reads the environment or starts a thread or process, and each
-command loads only the modules it runs, with no ``dataclasses`` among them.
+no module reads the environment or starts a thread or process, each
+command loads only the modules it runs, with no ``dataclasses`` among them,
+and every name and command line the benchmark under ``perfbench/`` reaches
+still resolves and parses.
 
 A stdlib stand-in for a linter.
 """
@@ -475,3 +477,115 @@ def test_unknown_name_is_an_attribute_error():
         nrooted.no_such_name
     with pytest.raises(ImportError):
         exec("from nrooted import no_such_name", {})
+
+
+# ---------------------------------------------------------------------------
+# What the benchmark reaches
+# ---------------------------------------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench_jobs():
+    """``perfbench/jobs.py``, imported without writing bytecode under ``perfbench/``."""
+    saved_path, saved_flag = sys.path[:], sys.dont_write_bytecode
+    sys.path.insert(0, str(PERFBENCH))
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module("jobs")
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved_path, saved_flag
+        for name in ("jobs", "checks"):
+            sys.modules.pop(name, None)
+
+
+def attribute_targets(source: str, modules: set[str]) -> list[tuple[str, str]]:
+    """``(module, name)`` of each ``module.name`` attribute in ``source``."""
+    return sorted({
+        (node.value.id, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    })
+
+
+def method_targets(source: str) -> list[tuple[str, str]]:
+    """``(module, "Class.method")`` of each entry of a module-level ``METHODS`` list."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "METHODS":
+            entries = ast.literal_eval(node.value)
+            return [(home, f"{cls}.{method}") for home, cls, method, _ in entries]
+    return []
+
+
+def unresolved(targets) -> list[str]:
+    """``module.dotted`` of each target that is not bound in its namespace: a
+    module's or, for ``Class.method``, the class's own (inherited ones are not)."""
+    missing = []
+    for module, dotted in targets:
+        obj = importlib.import_module(f"nrooted.{module}")
+        for part in dotted.split("."):
+            obj = vars(obj).get(part)
+            if obj is None:
+                missing.append(f"{module}.{dotted}")
+                break
+    return missing
+
+
+def parses(argv: list[str]) -> bool:
+    try:
+        nrooted.cli._build_parser().parse_args(argv)
+    except SystemExit:
+        return False
+    return True
+
+
+def test_every_name_the_benchmark_reaches_resolves(perfbench_jobs, monkeypatch):
+    calls = []
+    real = perfbench_jobs.module_call
+
+    def recorded(module, name, *args):
+        calls.append((module.__name__.removeprefix("nrooted."), name))
+        return real(module, name, *args)
+
+    monkeypatch.setattr(perfbench_jobs, "module_call", recorded)
+    perfbench_jobs.build("gf", 0)
+    perfbench_jobs.build("oracle", 0)
+    assert {("qft", "m_series"), ("relations", "verify_ode_z0"),
+            ("wick", "bijection_class_multiset")} <= set(calls)
+    jobs_source = (PERFBENCH / "jobs.py").read_text(encoding="utf-8")
+    attributes = attribute_targets(jobs_source, {"ribbon", "wick"})
+    assert ("ribbon", "relabel") in attributes and ("wick", "from_map") in attributes
+    methods = method_targets((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
+    assert ("series", "Series.__rmul__") in methods
+    assert unresolved(calls + attributes + methods + [("permutations", "UnionFind")]) == []
+    # the tracer clears these three caches and reads their hits and misses
+    for cache in (nrooted.qft.z_series, nrooted.qft.m_series, nrooted.qft.m0_series):
+        cache.cache_clear()
+        assert (cache.cache_info().hits, cache.cache_info().misses) == (0, 0)
+
+
+def test_every_benchmark_command_line_parses(perfbench_jobs):
+    argvs = [job.argv for job in perfbench_jobs.build("cli", 0)]
+    assert len(argvs) > 50 and {"series", "count", "verify", "convert"} == {a[0] for a in argvs}
+    assert [argv for argv in argvs if not parses(argv)] == []
+
+
+def test_benchmark_guard_reports_what_is_gone():
+    source = (
+        "from nrooted import ribbon, wick\n"
+        "m = ribbon.RootedMap(0, (), (), ())\n"
+        "found = ribbon.no_such_name, wick.to_map(m)\n"
+        "METHODS = [('series', 'Series', 'from_json_dict', 'series.read'),\n"
+        "           ('series', 'Series', '__mul__', 'series.mul')]\n"
+    )
+    targets = attribute_targets(source, {"ribbon", "wick"}) + method_targets(source)
+    assert unresolved(targets) == ["ribbon.no_such_name", "series.Series.from_json_dict"]
+    # the class's own namespace: ``__init_subclass__`` is only inherited
+    assert unresolved([("qft", "m_series"), ("series", "Series.__init_subclass__"),
+                       ("cli", "CountReport")]) == ["series.Series.__init_subclass__",
+                                                    "cli.CountReport"]
+    assert not parses(["count", "--n", "1", "--edges", "1"])  # no --method
+    count = ["count", "--n", "1", "--edges", "1", "--method", "theorem2"]
+    assert parses(count) and not parses([*count, "--workers", "2"])

@@ -1,11 +1,10 @@
-"""The four record types repr, hash, compare and pickle by their fields in
+"""The three record types repr, hash, compare and pickle by their fields in
 order, and no field can be assigned."""
 
 import pickle
 
 import pytest
 
-from nrooted.cli import CountReport
 from nrooted.relations import VerificationReport
 from nrooted.ribbon import RootedMap, point_map
 from nrooted.wick import Contraction
@@ -34,15 +33,8 @@ RECORDS = [
         "VerificationReport(identity='ode-m1', order_checked=10, passed=False, "
         "first_failure_power=3, detail='at λ^3: 1 != 2')",
     ),
-    (
-        CountReport(2, 3, "theorem2", 41, elapsed_ms=7),
-        ("n_roots", "edges", "method", "value", "genus_profile", "elapsed_ms"),
-        (2, 3, "theorem2", 41, None, 7),
-        "CountReport(n_roots=2, edges=3, method='theorem2', value=41, "
-        "genus_profile=None, elapsed_ms=7)",
-    ),
 ]
-IDS = ["point", "rooted-map", "contraction", "verification-report", "count-report"]
+IDS = ["point", "rooted-map", "contraction", "verification-report"]
 
 
 @pytest.mark.parametrize("record, names, values, text", RECORDS, ids=IDS)
@@ -74,5 +66,3 @@ def test_pickle_round_trip(record, names, values, text):
 
 def test_defaults():
     assert VerificationReport("ode-m1", 10, True, None).detail == ""
-    report = CountReport(1, 2, "series", 10)
-    assert (report.genus_profile, report.elapsed_ms) == (None, 0)

@@ -69,10 +69,6 @@ class TestRootedMap:
         assert example_map.n_roots == 3
         assert not example_map.is_point
 
-    def test_vertex_cycles(self, example_map):
-        cycles = example_map.vertex_cycles()
-        assert len(cycles) == 4  # V = 4
-
 
 class TestValidate:
     def test_example_is_valid(self, example_map):
@@ -233,6 +229,12 @@ class TestRelabel:
 
     def test_point_map_relabels_to_itself(self):
         assert relabel(point_map(), ()) == point_map()
+
+    @pytest.mark.parametrize("perm", [(1, 1), (1,), "xyz"])
+    def test_point_map_rejects_a_non_permutation(self, perm):
+        # the empty map takes the permutation check like every other map
+        with pytest.raises(ValueError, match=r"permutation of 1\.\.0"):
+            relabel(point_map(), perm)
 
 
 def reference_is_canonical(alpha, sigma, n_roots: int, n: int) -> bool:
