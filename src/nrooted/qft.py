@@ -277,17 +277,14 @@ def m1_closed_form(edges: int) -> int:
 
 
 def m2_via_routes(order: int) -> Series:
-    """M_2 by three independent routes, cross-checked.
+    """M_2 from :func:`m_series` (route A), checked by two independent routes.
 
-    A: correlator quotients        Z_2/(2 Z_0) - (Z_1/Z_0)^2
     B: connected-vacuum calculus   λ²/2·M0'' - λ²/2·(M0')²
     C: explicit coefficients       m_2(e) = e(2e-1)·[λ^{2e}]M0
                                           - ½ Σ_{k=1}^{e-1} m_1(k) m_1(e-k)
     using the closed forms for [λ^{2e}]M0 and m_1.
     """
-    # with q_j = (Z_j/Z_0)/(j!)², Z_2/(2 Z_0) = 2·q_2
-    q1, q2 = _scaled_quotient(1, order), _scaled_quotient(2, order)
-    route_a = q2 * 2 - q1 ** 2
+    route_a = m_series(2, order)
 
     m0 = m0_series(order + 2)
     d1 = m0.derivative()
@@ -315,15 +312,12 @@ def m2_via_routes(order: int) -> Series:
 
 
 def m3_via_routes(order: int) -> Series:
-    """M_3 by two independent routes, cross-checked.
+    """M_3 from :func:`m_series` (route A), checked by an independent route.
 
-    A: correlator quotients   Z_3/(6 Z_0) - 3 Z_1 Z_2/(2 Z_0²) + 2 (Z_1/Z_0)³
     B: connected-vacuum calculus
        2/3·λ³(M0')³ - λ³·M0'·M0'' + λ³/6·M0'''.
     """
-    # with q_j = (Z_j/Z_0)/(j!)², Z_3/(6 Z_0) = 6·q_3 and 3 Z_1 Z_2/(2 Z_0²) = 6·q_1·q_2
-    q1, q2, q3 = (_scaled_quotient(j, order) for j in (1, 2, 3))
-    route_a = q3 * 6 - q1 * q2 * 6 + q1 ** 3 * 2
+    route_a = m_series(3, order)
 
     m0 = m0_series(order + 3)
     d1 = m0.derivative()

@@ -37,7 +37,6 @@ from .qft import _z0_inverse, m0_series, m_series, z_np_series, z_series
 from .series import Series, _as_fraction, horner, log_coefficients, require_agreement
 
 __all__ = [
-    "BTable",
     "b_table",
     "r_series",
     "M1Polynomial",
@@ -62,58 +61,20 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class BTable:
-    """The triangle of integers B[n][k] = B_{n,2k-1}, 0 <= k <= n <= n_max.
-
-    Index mapping: the second index k corresponds to subscript 2k-1, so
-    ``value(n, 0)`` is B_{n,-1} and ``value(n, n)`` is B_{n,2n-1}.  Row 0
-    holds only the single entry B_{0,-1} = 1; entries outside the triangle
-    are structurally absent and raise ``ValueError``.
-    """
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        self._rows = rows
-
-    @property
-    def n_max(self) -> int:
-        return len(self._rows) - 1
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self._rows
-
-    def value(self, n: int, k: int) -> int:
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"row {n} outside table (n_max={self.n_max})")
-        if not 0 <= k <= n:
-            raise ValueError(
-                f"entry (n={n}, k={k}) is structurally absent from the triangle"
-            )
-        return self._rows[n][k]
-
-    def __repr__(self):
-        return f"BTable(n_max={self.n_max})"
-
-
-def b_table(n_max: int) -> BTable:
-    """Build the triangle up to row n_max (>= 1) from the defining recursion.
-
-    Row 1 is pinned by the initial conditions B_{1,-1} = B_{1,1} = 1; rows
-    above it follow from B_{n+1,2k-1} = B_{n,2k-3} + (2k+n+1) B_{n,2k-1},
-    with vanishing out-of-triangle terms.
+def b_table(n_max: int) -> tuple[tuple[int, ...], ...]:
+    """The triangle's rows 0..n_max (n_max >= 1), where ``rows[n][k]`` is
+    B_{n,2k-1} for 0 <= k <= n: row 0 is (B_{0,-1},) = (1,), and each row
+    follows from the one above by
+    B_{n+1,2k-1} = B_{n,2k-3} + (2k+n+1) B_{n,2k-1},
+    the out-of-triangle terms read as zero.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    rows: list[tuple[int, ...]] = [(1,), (1, 1)]
-    for n in range(1, n_max):
-        prev = rows[n]
-        nxt = []
-        for k in range(n + 2):
-            left = prev[k - 1] if 1 <= k <= n + 1 and k - 1 <= n else 0
-            right = prev[k] if k <= n else 0
-            nxt.append(left + (2 * k + n + 1) * right)
-        rows.append(tuple(nxt))
-    return BTable(tuple(rows[: n_max + 1]))
+    rows = [(1,)]
+    for n in range(n_max):
+        padded = (0, *rows[n], 0)
+        rows.append(tuple(padded[k] + (2 * k + n + 1) * padded[k + 1] for k in range(n + 2)))
+    return tuple(rows)
 
 
 def check_b_closed_forms() -> None:
@@ -122,13 +83,13 @@ def check_b_closed_forms() -> None:
     A failure names the first entry off its closed form; the triangle has no
     λ-power, so the failure carries none.
     """
-    table = b_table(12)
+    rows = b_table(12)
     for n in range(13):
         closed = {0: factorial(n), n: 1}
         if n >= 1:
             closed[n - 1] = (3 * n - 1) * n // 2
         for k, want in sorted(closed.items()):
-            got = table.value(n, k)
+            got = rows[n][k]
             if got != want:
                 raise ConsistencyError(f"B[{n}][{k}]: {got} != {want}")
 
@@ -174,10 +135,10 @@ def check_derivative_basis(n: int, order: int) -> None:
     for _ in range(n):
         deriv = deriv.derivative()
     lhs = deriv.shifted(n).truncate(order)
-    table = b_table(n)
+    row = b_table(n)[n]
     rhs = Series.zero(order)
     for k in range(n + 1):
-        rhs = rhs + r_series(2 * k - 1, order) * ((-1) ** (n - k) * table.value(n, k))
+        rhs = rhs + r_series(2 * k - 1, order) * ((-1) ** (n - k) * row[k])
     require_agreement(lhs, rhs, f"derivative-basis identity (n={n}): sides differ")
 
 
@@ -311,13 +272,13 @@ def _zj_table(j: int) -> M1Polynomial:
 
     Every weight is an integer, so the table is over denominator 1.
     """
-    table = b_table(max(j, 1))
+    rows = b_table(max(j, 1))
     low = min(0, 2 - 2 * j)
     const, linear = [0] * (1 - low), [0] * (1 - low)  # λ^low .. λ^0
     for n in range(j + 1):
         outer = comb(j, n) * factorial(j) // factorial(n)
         for k in range(n + 1):
-            weight = (-1) ** (n - k) * outer * table.value(n, k)
+            weight = (-1) ** (n - k) * outer * rows[n][k]
             if k == 0:
                 const[-low] += weight
             else:
@@ -468,29 +429,22 @@ def check_published_znp() -> None:
         raise ConsistencyError(f"at λ^5: {got} != 90", power=5)
 
 
-def verify_ode_m1(order: int, m1: Series | None = None) -> VerificationReport:
-    """Residual of  M₁ = 1 + λ²M₁ + λ²M₁² + λ³M₁′  (valid through order-1).
-
-    Pass `m1` to check a hand-built series (e.g. a perturbed negative
-    control); by default the canonical one-root series is used.
-    """
+def verify_ode_m1(order: int) -> VerificationReport:
+    """Residual of  M₁ = 1 + λ²M₁ + λ²M₁² + λ³M₁′  (valid through order-1)."""
     if order < 4:
         raise ValueError("order must be at least 4")
-    if m1 is None:
-        m1 = m_series(1, order)
+    m1 = m_series(1, order)
     lam2 = Series.monomial(1, 2, order)
     lam3 = Series.monomial(1, 3, order)
     rhs = 1 + lam2 * m1 + lam2 * (m1 * m1) + lam3 * m1.derivative()
     return report_from_difference("m1-ode", m1, rhs)
 
 
-def verify_ode_m0(order: int, m0: Series | None = None) -> VerificationReport:
+def verify_ode_m0(order: int) -> VerificationReport:
     """Residual of  M₀′ = 2λ + 4λ²M₀′ + λ³M₀″ + λ³(M₀′)²  (through order-2)."""
     if order < 4:
         raise ValueError("order must be at least 4")
-    if m0 is None:
-        m0 = m0_series(order)
-    d1 = m0.derivative()
+    d1 = m0_series(order).derivative()
     d2 = d1.derivative()
     lam1 = Series.monomial(2, 1, order)
     lam2 = Series.monomial(4, 2, order)
@@ -499,12 +453,11 @@ def verify_ode_m0(order: int, m0: Series | None = None) -> VerificationReport:
     return report_from_difference("m0-ode", d1, rhs)
 
 
-def verify_ode_z0(order: int, z0: Series | None = None) -> VerificationReport:
+def verify_ode_z0(order: int) -> VerificationReport:
     """Residual of the normalized  Z₀′ = λ³Z₀″ + 4λ²Z₀′ + 2λZ₀  (through order-2)."""
     if order < 4:
         raise ValueError("order must be at least 4")
-    if z0 is None:
-        z0 = z_series(0, order)
+    z0 = z_series(0, order)
     d1 = z0.derivative()
     d2 = d1.derivative()
     rhs = (

@@ -72,12 +72,6 @@ class RootedMap(namedtuple("RootedMap", "half_edges alpha sigma roots")):
         return self.half_edges // 2
 
     @property
-    def n_roots(self) -> int:
-        # The edgeless map carries its single root implicitly (no half-edge
-        # exists to name it).
-        return len(self.roots) if self.half_edges > 0 else 1
-
-    @property
     def is_point(self) -> bool:
         return self.half_edges == 0
 

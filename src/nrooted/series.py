@@ -371,7 +371,7 @@ class Series:
     def __repr__(self):
         return f"Series(order={self.order}, {self.format_terms()})"
 
-    def format_terms(self, variable: str = "λ") -> str:
+    def format_terms(self) -> str:
         """Human-readable sum of non-zero terms, e.g. ``1 + 2*λ^2 + 10*λ^4``."""
         terms = []
         for p, c in enumerate(self.coefficients):
@@ -380,9 +380,9 @@ class Series:
             if p == 0:
                 terms.append(str(c))
             elif p == 1:
-                terms.append(f"{c}*{variable}")
+                terms.append(f"{c}*λ")
             else:
-                terms.append(f"{c}*{variable}^{p}")
+                terms.append(f"{c}*λ^{p}")
         return " + ".join(terms) if terms else "0"
 
     # -- serialization -------------------------------------------------------

@@ -147,10 +147,10 @@ def test_criterion_09_table_and_polynomial_identities():
         for n in range(13):
             if n:
                 fact *= n
-            assert table.value(n, 0) == fact
-            assert table.value(n, n) == 1
+            assert table[n][0] == fact
+            assert table[n][n] == 1
             if n >= 1:
-                assert table.value(n, n - 1) == (3 * n - 1) * n // 2
+                assert table[n][n - 1] == (3 * n - 1) * n // 2
 
         # scaled n-th derivatives of the partition function expand in the
         # auxiliary double-factorial series with triangle-table coefficients
@@ -163,7 +163,7 @@ def test_criterion_09_table_and_polynomial_identities():
             lhs = d.shifted(n).truncate(order)
             rhs = Series.zero(order)
             for k in range(n + 1):
-                coeff = (-1) ** (n - k) * b_table(n).value(n, k)
+                coeff = (-1) ** (n - k) * b_table(n)[n][k]
                 rhs = rhs + Series.monomial(coeff, 0, order) * r_series(
                     2 * k - 1, order
                 )

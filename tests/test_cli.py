@@ -451,14 +451,11 @@ class TestVerifyCommand:
     def test_failure_detail_names_power_and_values(self, capsys, monkeypatch):
         # bump m_1(2) from 10 to 11; the ODE's right side still gives 10
         from nrooted.qft import m_series
-        from nrooted.relations import verify_ode_m1
         from nrooted.series import Series
 
         monkeypatch.setattr(
-            "nrooted.relations.verify_ode_m1",
-            lambda order: verify_ode_m1(
-                order, m1=m_series(1, order) + Series.monomial(1, 4, order)
-            ),
+            "nrooted.relations.m_series",
+            lambda n, order: m_series(n, order) + Series.monomial(1, 4, order),
         )
         code, out, err = run(capsys, "verify", "--suite", "ode")
         assert code == 1
@@ -593,15 +590,13 @@ class TestVerifyCommand:
     def test_wrong_b_table_entry_is_named(self, capsys, monkeypatch):
         # B[5][4] = B_{5,7} is 5·14/2 = 35; only the closed-form check reads
         # the 12-row table, so only it fails, and with no λ-power
-        from nrooted.relations import BTable, b_table
+        from nrooted.relations import b_table
 
         def perturbed(n_max):
-            table = b_table(n_max)
+            rows = b_table(n_max)
             if n_max != 12:
-                return table
-            rows = [list(row) for row in table.rows]
-            rows[5][4] = 99
-            return BTable(tuple(map(tuple, rows)))
+                return rows
+            return (*rows[:5], (*rows[5][:4], 99, *rows[5][5:]), *rows[6:])
 
         monkeypatch.setattr(nrooted.relations, "b_table", perturbed)
         code, out, err = run(capsys, "verify", "--suite", "theorem3")

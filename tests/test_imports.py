@@ -41,6 +41,16 @@ def _imports(node: ast.AST, scope: ast.AST, found: list) -> None:
         _imports(child, child if isinstance(child, FUNCTIONS) else scope, found)
 
 
+def exports(tree: ast.Module) -> list[str]:
+    """The names of the module's literal ``__all__``, in order."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
 def unused_imports(source: str) -> list[str]:
     """Names bound by imports that their scope neither uses nor exports.
 
@@ -51,12 +61,7 @@ def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     found: list[tuple[str, ast.AST]] = []
     _imports(tree, tree, found)
-    exported: set[str] = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported.update(ast.literal_eval(node.value))
+    exported = set(exports(tree))
     used = {
         id(scope): {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
         for _, scope in found
@@ -589,3 +594,81 @@ def test_benchmark_guard_reports_what_is_gone():
     assert not parses(["count", "--n", "1", "--edges", "1"])  # no --method
     count = ["count", "--n", "1", "--edges", "1", "--method", "theorem2"]
     assert parses(count) and not parses([*count, "--workers", "2"])
+
+
+def names_read(node: ast.AST, strings: bool = False) -> set[str]:
+    """Every name read below ``node``: a bare name that is not assigned, an
+    attribute or an imported name, and with ``strings`` every string literal
+    (``module_call(qft, "m_series", …)`` reaches ``m_series``)."""
+    found = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
+            found.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            found.add(child.attr)
+        elif isinstance(child, ast.alias):
+            found.add(child.name)
+        elif strings and isinstance(child, ast.Constant) and isinstance(child.value, str):
+            found.add(child.value)
+    return found
+
+
+def export_reach(package: dict[str, str], bench: list[str]) -> tuple[list[str], list[str]]:
+    """``module.name`` of each ``__all__`` name of a package module that only
+    the ``bench`` sources reach, and of each that nothing reaches.  Package
+    code reaches a name only outside the name's own top-level definition.
+    The facade ``__init__`` re-exports names of the other modules."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    reads = {
+        module: [(getattr(node, "name", None), names_read(node)) for node in tree.body]
+        for module, tree in trees.items()
+    }
+    bench_reads = set().union(*(names_read(ast.parse(source), strings=True) for source in bench))
+    only_bench, unreached = [], []
+    for module, tree in trees.items():
+        for name in exports(tree) if module != "__init__" else ():
+            if not any(
+                name in names and not (home == module and defined == name)
+                for home, nodes in reads.items() for defined, names in nodes
+            ):
+                (only_bench if name in bench_reads else unreached).append(f"{module}.{name}")
+    return only_bench, unreached
+
+
+#: The public names no command reaches, which the benchmark still times.
+BENCHMARK_ONLY = [
+    "qft.m2_via_routes", "qft.m3_via_routes", "qft.z_recursion",
+    "ribbon.relabel", "wick.total_weighted_classes",
+]
+
+
+def test_every_public_name_is_reached():
+    before = sorted(p.relative_to(PERFBENCH) for p in PERFBENCH.rglob("*"))
+    package = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    bench = [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
+    only_bench, unreached = export_reach(package, bench)
+    assert unreached == []
+    assert sorted(only_bench) == BENCHMARK_ONLY
+    assert sorted(p.relative_to(PERFBENCH) for p in PERFBENCH.rglob("*")) == before
+
+
+def test_scanner_reports_exports_reached_only_by_the_benchmark_or_by_nothing():
+    package = {
+        "a": (
+            "__all__ = ['used', 'benched', 'tested', 'LIMIT', 'Shape']\n"
+            "LIMIT = 3\n"
+            "class Shape:\n"
+            "    def copy(self):\n"
+            "        return Shape()\n"
+            "def used():\n"
+            "    return LIMIT\n"
+            "def benched():\n"
+            "    return used()\n"
+            "def tested(n):\n"
+            "    return tested(n - 1) if n else 0\n"
+        ),
+        # a string in package code is no reach: the facade's name table is one
+        "b": "from .a import used\n__all__ = ['run']\ndef run():\n    return used(), 'tested'\n",
+    }
+    bench = ["import a, b\nfound = a.benched(), getattr(b, 'run')\n"]
+    assert export_reach(package, bench) == (["a.benched", "b.run"], ["a.tested", "a.Shape"])

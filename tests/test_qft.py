@@ -361,6 +361,24 @@ class TestHigherRootRoutes:
         assert m2_via_routes(14) == m_series(2, 14)
         assert m3_via_routes(14) == m_series(3, 14)
 
+    @pytest.mark.parametrize("route, n, message", [
+        (m2_via_routes, 2, "routes A and B disagree at λ\\^4: 14 != 13"),
+        (m3_via_routes, 3, "routes A and B disagree at λ\\^4: 7 != 6"),
+    ])
+    def test_routes_check_the_general_formula(self, monkeypatch, route, n, message):
+        # route A is m_series itself, so a wrong m_n(2) there is caught
+        monkeypatch.setattr(
+            "nrooted.qft.m_series",
+            lambda k, order: m_series(k, order) + Series.monomial(int(k == n), 4, order),
+        )
+        with pytest.raises(ConsistencyError, match=message):
+            route(8)
+
+    @pytest.mark.parametrize("order", [8, 24, 64])
+    def test_routes_return_the_general_formula(self, order):
+        assert m2_via_routes(order) == m_series(2, order)
+        assert m3_via_routes(order) == m_series(3, order)
+
     def test_route_disagreement_names_the_power(self, monkeypatch):
         # one wrong m_1(2) feeds route C only; m_2(3) is the first it touches
         real = nrooted.qft._m1_from_tables

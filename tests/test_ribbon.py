@@ -62,11 +62,9 @@ class TestRootedMap:
         assert p.is_point
         assert p.half_edges == 0
         assert p.n_edges == 0
-        assert p.n_roots == 1  # the abstract vertex itself carries the root
 
     def test_counts(self, example_map):
         assert example_map.n_edges == 6
-        assert example_map.n_roots == 3
         assert not example_map.is_point
 
 
