@@ -81,7 +81,8 @@ def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Perm:
 
 
 def is_involution_without_fixed_points(p: Perm) -> bool:
-    return all(p[i - 1] != i and p[p[i - 1] - 1] == i for i in range(1, len(p) + 1))
+    n = len(p)  # an image outside 1..n is no involution of 1..n either
+    return all(0 < x <= n and x != i and p[x - 1] == i for i, x in enumerate(p, start=1))
 
 
 def fixed_point_free_involutions(n: int) -> Iterator[Perm]:

@@ -71,7 +71,7 @@ def _widest_order_cache(build):
 
     @wraps(build)
     def cached(*args, **kwargs):
-        if kwargs:
+        if kwargs or len(args) != len(names):
             rest = names[len(args):]
             if kwargs.keys() != set(rest):
                 return build(*args, **kwargs)

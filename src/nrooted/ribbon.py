@@ -8,10 +8,10 @@ the Euler characteristic |V| − |E| + |F| = 2 − 2g.
 
 An N-rooted map additionally carries N ordered root half-edges lying in N
 distinct σ-cycles.  Rooted maps have no nontrivial automorphisms, which makes
-a deterministic canonical relabeling possible: a breadth-first traversal
-seeded by the roots visits σ(h) then α(h) from each dequeued half-edge and
-assigns fresh labels in first-visit order.  Two rooted maps are isomorphic
-(root order preserved) exactly when their canonical forms are equal.
+a deterministic canonical relabeling in one breadth-first walk: the visited
+list starts with the roots and gains σ(h), then α(h), of each h read in order
+when new, and a half-edge's label is its position there.  Two rooted maps are
+isomorphic (root order preserved) exactly when their canonical forms agree.
 
 The edgeless map on a single vertex is represented with ``half_edges == 0``
 and an empty root tuple; by convention it is the unique 1-rooted object at
@@ -21,7 +21,7 @@ e = 0 (two or more roots would need two vertices and at least one edge).
 from __future__ import annotations
 
 import itertools
-from collections import deque, namedtuple
+from collections import Counter, namedtuple
 from math import factorial
 
 from .errors import BoundExceededError, ConsistencyError, _require_json_object
@@ -133,7 +133,9 @@ def validate(m: RootedMap) -> list[str]:
     if not _is_transitive(m.alpha, m.sigma, n):
         problems.append("half-edge action not transitive (graph is disconnected)")
 
-    if not m.roots:
+    if not isinstance(m.roots, (tuple, list)):
+        problems.append(f"roots must be a tuple of half-edges, got {m.roots!r}")
+    elif not m.roots:
         problems.append("at least one root half-edge is required")
     else:
         if any(not isinstance(r, int) or not 1 <= r <= n for r in m.roots):
@@ -171,30 +173,13 @@ def genus(m: RootedMap) -> int:
     return (2 - chi) // 2
 
 
-def _bfs_labels(m: RootedMap) -> dict[int, int]:
-    """First-visit labels of the rooted breadth-first traversal (σ(h), then α(h))."""
-    label: dict[int, int] = {}
-    queue: deque[int] = deque()
-    for r in m.roots:
-        if r not in label:
-            label[r] = len(label) + 1
-            queue.append(r)
-    while queue:
-        h = queue.popleft()
-        for nxt in (m.sigma[h - 1], m.alpha[h - 1]):
-            if nxt not in label:
-                label[nxt] = len(label) + 1
-                queue.append(nxt)
-    return label
-
-
 def canonical_form(m: RootedMap) -> RootedMap:
     """The canonical representative of m's rooted-isomorphism class.
 
     Roots receive labels 1..N in root order; remaining half-edges are labeled
     in the first-visit order of the breadth-first traversal that expands σ(h)
-    and then α(h) from each dequeued half-edge.  The traversal rule is an
-    arbitrary but fixed convention, normative for the serialized format.
+    and then α(h) from each half-edge, in visiting order.  The traversal rule
+    is an arbitrary but fixed convention, normative for the serialized format.
     """
     _require_valid(m, "canonical_form")
     return _canonical_relabeling(m)
@@ -203,10 +188,19 @@ def canonical_form(m: RootedMap) -> RootedMap:
 def _canonical_relabeling(m: RootedMap) -> RootedMap:
     """The relabeling step of :func:`canonical_form`, for a map known to be valid.
 
-    The roots are visited first, so they receive 1..N in root order.
+    ``visited``, seeded with the roots, is also the queue: the loop reads it
+    while appending to it.  ``label[h]`` is h's position there, 0 while unvisited.
     """
-    label = _bfs_labels(m)
-    return _renamed(m, [label[h] for h in range(1, m.half_edges + 1)])
+    label = [0] * (m.half_edges + 1)
+    visited = list(m.roots)
+    for k, r in enumerate(visited, start=1):
+        label[r] = k
+    for h in visited:
+        for nxt in (m.sigma[h - 1], m.alpha[h - 1]):
+            if not label[nxt]:
+                visited.append(nxt)
+                label[nxt] = len(visited)
+    return _renamed(m, label[1:])
 
 
 def relabel(m: RootedMap, perm: Perm) -> RootedMap:
@@ -342,10 +336,7 @@ def count_maps_by_division(n_roots: int, edges: int) -> int:
 
 def genus_profile(n_roots: int, edges: int) -> dict[int, int]:
     """Number of classes per genus; values sum to the total class count."""
-    profile: dict[int, int] = {}
-    for m in enumerate_maps(n_roots, edges):
-        g = genus(m)
-        profile[g] = profile.get(g, 0) + 1
+    profile = Counter(genus(m) for m in enumerate_maps(n_roots, edges))
     return dict(sorted(profile.items()))
 
 
@@ -399,6 +390,9 @@ def map_from_json(data: dict) -> RootedMap:
                 raise ValueError(f"{field}: a cycle must not be empty")
             if not all(type(v) is int and 1 <= v <= n for v in cyc):
                 raise ValueError(f"{field}: cycle entries must be integers in 1..{n}")
+        # a fixed-point-free α lists all n half-edges, so n is within the document
+        if field == "alpha" and (listed := sum(map(len, raw))) < n:
+            raise ValueError(f"alpha: cycles list {listed} of the {n} half-edges")
         try:
             return from_cycles(n, [tuple(c) for c in raw])
         except ValueError as exc:
@@ -409,8 +403,8 @@ def map_from_json(data: dict) -> RootedMap:
             raise ValueError("edgeless map JSON must have empty alpha/sigma/roots")
         return point_map()
 
-    # Singleton or missing alpha cycles parse to fixed points; validate()
-    # below reports them as "alpha not fixed-point-free".
+    # Singleton alpha cycles parse to fixed points; validate() below reports
+    # them as "alpha not fixed-point-free".
     alpha = parse_cycles("alpha")
     sigma = parse_cycles("sigma")
 

@@ -36,7 +36,7 @@ series coefficients come out exactly.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 from math import factorial
 from typing import TYPE_CHECKING
 
@@ -277,11 +277,10 @@ def bijection_class_multiset(n_external: int, edges: int) -> dict[RootedMap, int
         raise ValueError("bijection_class_multiset requires n_external >= 1")
     n = 2 * edges
     photon = standard_pairing(n)
-    fibers: dict[RootedMap, int] = {}
-    for targets in _aligned_connected_targets(n_external, n, photon):
-        m = _valid(_build_map(photon, targets))
-        key = _canonical_relabeling(m)
-        fibers[key] = fibers.get(key, 0) + 1
+    fibers = Counter(
+        _canonical_relabeling(_valid(_build_map(photon, targets)))
+        for targets in _aligned_connected_targets(n_external, n, photon)
+    )
     matchings = double_factorial(n - 1)
     return {key: size * matchings for key, size in fibers.items()}
 
@@ -322,16 +321,18 @@ def contraction_from_json(data: dict) -> Contraction:
         not isinstance(p, list) or len(p) != 2 for p in pairs
     ):
         raise ValueError("photon_pairs: expected a list of [a, b] pairs")
-    photon = [0] * n
+    # partners in a dict, so the work is bounded by the document, not by n
+    partner: dict[int, int] = {}
     for p in pairs:
         a, b = p
         if not all(type(v) is int and 1 <= v <= n for v in (a, b)) or a == b:
             raise ValueError(f"photon_pairs: {p} is not a pair of distinct vertices")
-        if photon[a - 1] or photon[b - 1]:
+        if a in partner or b in partner:
             raise ValueError(f"photon_pairs: vertex in {p} is matched twice")
-        photon[a - 1], photon[b - 1] = b, a
-    if any(v == 0 for v in photon):
+        partner[a], partner[b] = b, a
+    if len(partner) != n:
         raise ValueError("photon_pairs: every vertex must be matched")
+    photon = [partner[v] for v in range(1, n + 1)]
 
     raw = data["electron_targets"]
     if not isinstance(raw, list) or len(raw) != big_n + n:

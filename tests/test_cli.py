@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -795,6 +796,36 @@ class TestConvertCommand:
         src.write_text("{not json")
         code, _, _ = run(capsys, "convert", "--input", str(src), "--to", "map")
         assert code == 2
+
+    def test_deeply_nested_json_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100_000 + "]" * 100_000))
+        code, out, err = run(capsys, "convert", "--to", "map")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: input is not valid JSON: ")
+
+    @pytest.mark.parametrize(
+        "to, data, message",
+        [
+            ("contraction", {"half_edges": 200_000, "alpha": [], "sigma": [], "roots": [1]},
+             "alpha: cycles list 0 of the 200000 half-edges"),
+            ("map", {"n_external": 1, "n_vertices": 200_000, "photon_pairs": [],
+                     "electron_targets": ["ket1"]},
+             "photon_pairs: every vertex must be matched"),
+        ],
+        ids=["map", "contraction"],
+    )
+    def test_declared_size_costs_nothing_the_document_does_not_hold(
+        self, capsys, monkeypatch, to, data, message
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(data)))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "convert", "--to", to)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert peak < 1_000_000
 
 
 #: Every option string of each subcommand, as its --help prints them.

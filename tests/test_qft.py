@@ -538,6 +538,9 @@ class TestWidestOrderCache:
             (lambda: m_series(2, degree=6), r"unexpected keyword argument 'degree'"),
             (lambda: m_series(2, n=2, order=6), r"multiple values for argument 'n'"),
             (lambda: z_series(1, 4, order=4), r"multiple values for argument 'order'"),
+            (lambda: m_series(), r"missing 2 required positional arguments: 'n' and 'order'"),
+            (lambda: m0_series(), r"missing 1 required positional argument: 'order'"),
+            (lambda: z_series(), r"missing 2 required positional arguments: 'j' and 'order'"),
         ],
     )
     def test_a_bad_keyword_call_is_a_type_error(self, call, message):

@@ -112,6 +112,7 @@ class TestValidate:
                 ["alpha is not a permutation of 1..2", "sigma is not a permutation of 1..2"],
             ),
             (RootedMap(2, (2, 1), (2, 1), ()), ["at least one root half-edge is required"]),
+            (RootedMap(2, (2, 1), (1, 2), 1), ["roots must be a tuple of half-edges, got 1"]),
         ],
     )
     def test_each_problem_is_named(self, m, problems):

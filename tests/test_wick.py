@@ -249,6 +249,13 @@ class TestToMap:
         with pytest.raises(ValueError):
             to_map(Contraction(0, 2, (2, 1), (2, 1)))
 
+    @pytest.mark.parametrize("convert", [to_map, contraction_to_json])
+    @pytest.mark.parametrize("photon", [(5, 1), (2,)], ids=["image-past-the-end", "too-short"])
+    def test_photon_image_out_of_range_is_named(self, convert, photon):
+        message = "^photon matching must be a fixed-point-free involution$"
+        with pytest.raises(ValueError, match=message):
+            convert(Contraction(1, 2, photon, (1, 2, 3)))
+
 
 class TestFromMap:
     def test_point(self):
