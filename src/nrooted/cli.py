@@ -78,7 +78,7 @@ def _checked_order(args) -> int:
 
 
 def _series_for(args) -> Series:
-    from .qft import m0_series, m_series, z_np_series, z_series
+    from .qft import m0_series, m_series, z_np_series, z_recursion
 
     order = _checked_order(args)
     family = args.family
@@ -91,7 +91,7 @@ def _series_for(args) -> Series:
     if family == "m":
         return m_series(args.n, order)
     if family == "z":
-        return z_series(args.n, order)
+        return z_recursion(args.n, order)
     # family znp, the last of the parser's choices
     if args.p is None or args.p < 0:
         raise ValueError("family znp requires --p >= 0")

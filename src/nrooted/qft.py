@@ -50,8 +50,9 @@ __all__ = [
 ]
 
 #: Largest edge count :func:`m1_closed_form` accepts, equal to the edge bound
-#: of ``count --method theorem2``.  Its sums take O(e³) big-integer products;
-#: 128 edges take about 0.25 s (Python 3.11, one core of a 2-core VM).
+#: of ``count --method theorem2``.  Its composition table takes O(e³)
+#: big-integer products; 128 edges take 0.058–0.060 s, about 1.5 ms of it the
+#: M₁-ODE check (Python 3.11, one core of a 2-core VM).
 MAX_CLOSED_FORM_EDGES = 128
 
 
@@ -121,29 +122,20 @@ def z_np_series(n: int, p: int, order: int) -> Series:
 
 
 def z_recursion(n: int, order: int) -> Series:
-    """Z_N from Z_0 by two independent ladder routes, cross-checked.
+    """Z_N from Z_0 by the ladder route, checked against :func:`z_series`.
 
-    Route 1 applies the raising operator f -> j*f + λ f' for j = 1..N.
-    Route 2 takes the N-th derivative of λ^N * Z_0.  Both are evaluated on a
-    base series built to order ``order + n`` so the result is valid to
-    ``order``; a mismatch raises :class:`ConsistencyError`.
+    The ladder applies the raising operator f -> j*f + λ f' for j = 1..N,
+    which keeps the order; the result must equal the closed formula of
+    ``z_series(n, order)``, or :class:`ConsistencyError` names the first
+    differing λ-power and both values.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    base = z_series(0, order + n)
-
-    ladder = base
+    ladder = z_series(0, order)
     for j in range(1, n + 1):
         ladder = j * ladder + ladder.x_derivative()
-    ladder = ladder.truncate(order)
-
-    derivative_route = base.shifted(n)
-    for _ in range(n):
-        derivative_route = derivative_route.derivative()
-    derivative_route = derivative_route.truncate(order)
-
     require_agreement(
-        ladder, derivative_route, f"z_recursion({n}): ladder and derivative routes disagree"
+        ladder, z_series(n, order), f"z_recursion({n}): ladder and formula routes disagree"
     )
     return ladder
 
@@ -175,7 +167,7 @@ def _composition_table(f, total: int) -> list[list[int]]:
 
 def _m0_coefficient(odd: list[list[int]], e: int) -> Fraction:
     """[λ^{2e}] M0 as the alternating composition sum over double factorials,
-    read from the first table of :func:`_closed_form_tables` that reaches e."""
+    read from a table of :func:`_closed_form_table` that reaches e."""
     return sum(
         (Fraction((-1) ** (k + 1), k) * odd[k][e] for k in range(1, e + 1)),
         Fraction(0),
@@ -230,50 +222,50 @@ def m_count(n: int, edges: int) -> int:
     return int(m_series(n, 2 * edges).coefficient(2 * edges))
 
 
-def _closed_form_tables(edges: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Composition tables of the weights (2p−1)!! and (2p)!/p! up to t = edges+1;
-    beyond :data:`MAX_CLOSED_FORM_EDGES` edges, :class:`BoundExceededError`."""
+def _closed_form_table(edges: int) -> list[list[int]]:
+    """The composition table of the weights (2p−1)!! up to t = edges+1; beyond
+    :data:`MAX_CLOSED_FORM_EDGES` edges, :class:`BoundExceededError`."""
     if edges > MAX_CLOSED_FORM_EDGES:
         raise BoundExceededError(
             f"closed form: {edges} edges exceed its bound of {MAX_CLOSED_FORM_EDGES}"
         )
-    return (
-        _composition_table(lambda p: double_factorial(2 * p - 1), edges + 1),
-        _composition_table(lambda p: factorial(2 * p) // factorial(p), edges + 1),
-    )
+    return _composition_table(lambda p: double_factorial(2 * p - 1), edges + 1)
 
 
-def _m1_from_tables(e: int, odd: list[list[int]], ratio: list[list[int]]) -> int:
-    """m_1(e) from :func:`_closed_form_tables` that reach e edges, cross-checked."""
+def _m1_by_ode(edges: int) -> list[int]:
+    """m_1(0..edges) by the recurrence of the M₁ ODE, m_1(0) = 1 and
+    m_1(e) = (2e−1)·m_1(e−1) + Σ_{k<e} m_1(k)·m_1(e−1−k)."""
+    m = [1]
+    for e in range(1, edges + 1):
+        m.append((2 * e - 1) * m[-1] + sum(m[k] * m[e - 1 - k] for k in range(e)))
+    return m
+
+
+def _m1_from_table(e: int, odd: list[list[int]], by_ode: list[int]) -> int:
+    """m_1(e) from a table of :func:`_closed_form_table` that reaches e edges,
+    checked against a list of :func:`_m1_by_ode` that reaches e."""
     # Σ_k (−1)^k S_{k+1}(e+1): the sign alternates with the number of parts.
-    variant_a, raw_b = (
-        sum((-1) ** k * rows[k + 1][e + 1] for k in range(e + 1)) for rows in (odd, ratio)
-    )
-    variant_b, remainder = divmod(raw_b, 2 ** (e + 1))
-    if remainder != 0:
+    value = sum((-1) ** k * odd[k + 1][e + 1] for k in range(e + 1))
+    expected = by_ode[e]
+    if value != expected:
         raise ConsistencyError(
-            f"m1_closed_form({e}): factorial-ratio sum {raw_b} is not divisible "
-            f"by 2^{e + 1}"
+            f"m1_closed_form({e}): composition sum and M₁ ODE disagree "
+            f"({value} vs {expected})",
+            power=2 * e,
         )
-    if variant_a != variant_b:
-        raise ConsistencyError(
-            f"m1_closed_form({e}): variants disagree ({variant_a} vs {variant_b})"
-        )
-    return variant_a
+    return value
 
 
 def m1_closed_form(edges: int) -> int:
-    """m_1(e) from the two explicit alternating composition sums, cross-checked.
-
-    Variant A sums products of odd double factorials over compositions of e+1;
-    variant B sums products of (2k)!/k! and divides by 2^{e+1}.  Both must
-    agree (and B must divide exactly) or :class:`ConsistencyError` is raised.
-    Beyond :data:`MAX_CLOSED_FORM_EDGES` edges it raises
-    :class:`BoundExceededError` instead of starting the sums.
+    """m_1(e) from the paper's alternating sum of products of odd double
+    factorials over the compositions of e+1, checked against the recurrence
+    of the M₁ ODE; a mismatch raises :class:`ConsistencyError`.  Beyond
+    :data:`MAX_CLOSED_FORM_EDGES` edges it raises :class:`BoundExceededError`
+    instead of starting either.
     """
     if edges < 0:
         raise ValueError("edge count must be non-negative")
-    return _m1_from_tables(edges, *_closed_form_tables(edges))
+    return _m1_from_table(edges, _closed_form_table(edges), _m1_by_ode(edges))
 
 
 def m2_via_routes(order: int) -> Series:
@@ -294,11 +286,11 @@ def m2_via_routes(order: int) -> Series:
         - ((d1 * d1).shifted(2) * Fraction(1, 2)).truncate(order)
     )
 
-    # One table per weight serves every e: [λ^{2e}]M0 reads S_k(e) and m_1(k)
-    # reads S_k(k+1), for e ≤ order/2 and k < order/2.
+    # One table serves every e: [λ^{2e}]M0 reads S_k(e) and m_1(k) reads
+    # S_k(k+1), for e ≤ order/2 and k < order/2.
     half = order // 2
-    odd, ratio = _closed_form_tables(half - 1)
-    m1_values = {k: _m1_from_tables(k, odd, ratio) for k in range(1, half)}
+    odd, by_ode = _closed_form_table(half - 1), _m1_by_ode(half - 1)
+    m1_values = {k: _m1_from_table(k, odd, by_ode) for k in range(1, half)}
     coeffs = [Fraction(0)] * (order + 1)
     for e in range(1, half + 1):
         first = e * (2 * e - 1) * _m0_coefficient(odd, e)

@@ -93,7 +93,7 @@ def _is_perm(p, n: int) -> bool:
     return (
         isinstance(p, tuple)
         and len(p) == n
-        and all(isinstance(v, int) for v in p)
+        and all(type(v) is int for v in p)
         and sorted(p) == list(range(1, n + 1))
     )
 
@@ -108,7 +108,7 @@ def validate(m: RootedMap) -> list[str]:
     """
     problems: list[str] = []
     n = m.half_edges
-    if not isinstance(n, int) or n < 0 or n % 2 != 0:
+    if type(n) is not int or n < 0 or n % 2 != 0:
         return [f"half_edges must be an even non-negative integer, got {n!r}"]
 
     if n == 0:
@@ -138,7 +138,7 @@ def validate(m: RootedMap) -> list[str]:
     elif not m.roots:
         problems.append("at least one root half-edge is required")
     else:
-        if any(not isinstance(r, int) or not 1 <= r <= n for r in m.roots):
+        if any(type(r) is not int or not 1 <= r <= n for r in m.roots):
             problems.append(f"root out of range 1..{n}")
         elif len(set(m.roots)) != len(m.roots):
             problems.append("duplicate root half-edges")

@@ -96,17 +96,23 @@ class Contraction(namedtuple("Contraction", "n_external n_vertices photon target
         )
 
 
+def _all_ints(values) -> bool:
+    # ``type(v) is int``, as in the JSON parsers: True indexes and sorts as 1,
+    # and 2.0 sorts as 2, but neither is a label
+    return all(type(v) is int for v in values)
+
+
 def _check_contraction(w: Contraction) -> None:
     n, big_n = w.n_vertices, w.n_external
-    if n < 0 or n % 2 != 0 or big_n < 0:
+    if not _all_ints((n, big_n)) or n < 0 or n % 2 != 0 or big_n < 0:
         raise ValueError("need an even vertex count and non-negative external count")
-    if n > 0 and not is_involution_without_fixed_points(w.photon):
+    if n > 0 and not (_all_ints(w.photon) and is_involution_without_fixed_points(w.photon)):
         raise ValueError("photon matching must be a fixed-point-free involution")
     if len(w.photon) != n:
         raise ValueError(f"photon matching must cover exactly {n} vertices")
     if len(w.targets) != big_n + n:
         raise ValueError(f"expected {big_n + n} electron targets")
-    if sorted(w.targets) != list(range(1, n + big_n + 1)):
+    if not _all_ints(w.targets) or sorted(w.targets) != list(range(1, n + big_n + 1)):
         raise ValueError("electron targets must form a bijection onto the in-slots")
 
 

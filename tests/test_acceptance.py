@@ -89,8 +89,8 @@ def test_criterion_03_three_root_counts():
 
 def test_criterion_04_closed_form_agreement():
     with criterion(4, "single-root closed form matches series counts", 5.0):
-        # each call internally evaluates both summation variants and
-        # cross-checks them before returning
+        # each call checks its composition sum against the M₁ ODE's
+        # recurrence before returning
         for e in range(9):
             assert m1_closed_form(e) == m_count(1, e)
 

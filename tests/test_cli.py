@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import nrooted.cli
+import nrooted.qft
 import nrooted.relations
 import nrooted.ribbon
 import nrooted.tables
@@ -20,6 +21,7 @@ import nrooted.wick
 from nrooted.cli import main
 from nrooted.errors import ConsistencyError
 from nrooted.relations import VerificationReport
+from nrooted.series import Series
 
 EXAMPLE_MAP_JSON = {
     "half_edges": 12,
@@ -157,6 +159,21 @@ class TestSeriesCommand:
     def test_znp_requires_weight(self, capsys):
         code, _, _ = run(capsys, "series", "--family", "znp", "--n", "1")
         assert code == 2
+
+    def test_wrong_z_formula_is_a_consistency_failure(self, capsys, monkeypatch):
+        # the ladder from Z_0 checks the printed Z_2 = 2 + 12λ² + 90λ⁴ + …
+        real = nrooted.qft.z_series
+        monkeypatch.setattr(
+            "nrooted.qft.z_series",
+            lambda j, order: real(j, order) + Series.monomial(int(j == 2), 4, order),
+        )
+        code, out, err = run(capsys, "series", "--family", "z", "--n", "2", "--order", "6")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "consistency failure: z_recursion(2): ladder and formula routes disagree "
+            "at λ^4: 90 != 91\n"
+        )
 
     @pytest.mark.parametrize(
         "family", [["m"], ["z"], ["znp", "--p", "1"]], ids=["m", "z", "znp"]
@@ -367,6 +384,26 @@ class TestCountCommand:
             "consistency failure: enumeration found 2 classes but labeled division gives 999\n"
         )
 
+    def test_wrong_closed_form_table_is_a_consistency_failure(self, capsys, monkeypatch):
+        # one more composition of 4 into one part makes m_1(3) read 75, not 74
+        real = nrooted.qft._composition_table
+
+        def perturbed(f, total):
+            rows = real(f, total)
+            rows[1][4] += 1
+            return rows
+
+        monkeypatch.setattr("nrooted.qft._composition_table", perturbed)
+        code, out, err = run(
+            capsys, "count", "--n", "1", "--edges", "3", "--method", "closed-form"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "consistency failure: m1_closed_form(3): composition sum and M₁ ODE "
+            "disagree (75 vs 74)\n"
+        )
+
     def test_structural_oracle_scans_once(self, capsys, monkeypatch):
         calls = []
         real = nrooted.ribbon.enumerate_maps
@@ -452,7 +489,6 @@ class TestVerifyCommand:
     def test_failure_detail_names_power_and_values(self, capsys, monkeypatch):
         # bump m_1(2) from 10 to 11; the ODE's right side still gives 10
         from nrooted.qft import m_series
-        from nrooted.series import Series
 
         monkeypatch.setattr(
             "nrooted.relations.m_series",
@@ -473,8 +509,6 @@ class TestVerifyCommand:
     def test_failed_closure_names_power(self, capsys, monkeypatch):
         # bump m_3(2) from 6 to 7 where mn_in_m1 reads it; its M₁ substitution
         # still gives 6, so only the m3 closure fails
-        from nrooted.series import Series
-
         real = nrooted.relations.m_series
 
         def perturbed(n, order):
@@ -516,8 +550,6 @@ class TestVerifyCommand:
 
     def test_wrong_published_znp_fails_alone(self, capsys, monkeypatch):
         # Z_{1,1} reads 91 at λ^5 where the paper prints 90
-        from nrooted.series import Series
-
         real = nrooted.relations.z_np_series
 
         def perturbed(n, p, order):

@@ -637,7 +637,7 @@ def export_reach(package: dict[str, str], bench: list[str]) -> tuple[list[str], 
 
 #: The public names no command reaches, which the benchmark still times.
 BENCHMARK_ONLY = [
-    "qft.m2_via_routes", "qft.m3_via_routes", "qft.z_recursion",
+    "qft.m2_via_routes", "qft.m3_via_routes",
     "ribbon.relabel", "wick.total_weighted_classes",
 ]
 

@@ -13,10 +13,10 @@ from nrooted.combinat import double_factorial
 from nrooted.errors import BoundExceededError, ConsistencyError
 from nrooted.qft import (
     MAX_CLOSED_FORM_EDGES,
-    _closed_form_tables,
+    _closed_form_table,
     _composition_table,
     _m0_coefficient,
-    _m1_from_tables,
+    _m1_from_table,
     m0_series,
     m1_closed_form,
     m2_via_routes,
@@ -248,7 +248,7 @@ class TestAgainstIntegerRoutes:
 
     def test_vacuum_series_matches_composition_sums(self):
         s = m0_series(128)
-        odd, _ = _closed_form_tables(63)
+        odd = _closed_form_table(63)
         assert [s.coefficient(2 * e) for e in range(1, 65)] == [
             _m0_coefficient(odd, e) for e in range(1, 65)
         ]
@@ -314,7 +314,7 @@ class TestM1ClosedForm:
         assert m1_closed_form(e) == m_count(1, e)
 
     def test_returns_plain_integer(self):
-        # the two internal summation variants are cross-checked on every call
+        # the composition sum is checked against the M₁ ODE on every call
         value = m1_closed_form(6)
         assert isinstance(value, int)
         assert value == 110410
@@ -329,23 +329,16 @@ class TestM1ClosedForm:
         with pytest.raises(BoundExceededError, match="bound of 128"):
             m1_closed_form(129)
 
-    # S_1(e+1) enters both alternating sums with sign +1.
-    def test_indivisible_factorial_ratio_sum_is_a_consistency_error(self):
-        odd, ratio = _closed_form_tables(3)
-        ratio[1][4] += 1
-        with pytest.raises(
-            ConsistencyError,
-            match=r"m1_closed_form\(3\): factorial-ratio sum \d+ is not divisible by 2\^4",
-        ):
-            _m1_from_tables(3, odd, ratio)
-
-    def test_disagreeing_variants_are_a_consistency_error(self):
-        odd, ratio = _closed_form_tables(3)
+    def test_wrong_table_entry_is_a_consistency_error(self):
+        # S_1(e+1) enters the alternating sum with sign +1
+        odd = _closed_form_table(3)
         odd[1][4] += 1
         with pytest.raises(
-            ConsistencyError, match=r"m1_closed_form\(3\): variants disagree \(75 vs 74\)"
-        ):
-            _m1_from_tables(3, odd, ratio)
+            ConsistencyError,
+            match=r"^m1_closed_form\(3\): composition sum and M₁ ODE disagree \(75 vs 74\)$",
+        ) as caught:
+            _m1_from_table(3, odd, arques_beraud(3))
+        assert caught.value.power == 6
 
 
 class TestHigherRootRoutes:
@@ -381,10 +374,10 @@ class TestHigherRootRoutes:
 
     def test_route_disagreement_names_the_power(self, monkeypatch):
         # one wrong m_1(2) feeds route C only; m_2(3) is the first it touches
-        real = nrooted.qft._m1_from_tables
+        real = nrooted.qft._m1_from_table
         monkeypatch.setattr(
-            "nrooted.qft._m1_from_tables",
-            lambda e, odd, ratio: real(e, odd, ratio) + (e == 2),
+            "nrooted.qft._m1_from_table",
+            lambda e, odd, by_ode: real(e, odd, by_ode) + (e == 2),
         )
         with pytest.raises(
             ConsistencyError, match=r"routes A and C disagree at λ\^6: 165 != 163"
@@ -416,6 +409,20 @@ class TestZRecursionDetail:
             ConsistencyError, match=r"routes disagree at λ\^2: 4 != 3"
         ):
             z_recursion(1, 6)
+
+    def test_wrong_formula_names_the_first_power(self, monkeypatch):
+        # Z_2 = 2 + 12λ² + 90λ⁴ + …; only the formula route is perturbed
+        real = z_series
+        monkeypatch.setattr(
+            "nrooted.qft.z_series",
+            lambda j, order: real(j, order) + Series.monomial(int(j == 2), 4, order),
+        )
+        with pytest.raises(
+            ConsistencyError,
+            match=r"^z_recursion\(2\): ladder and formula routes disagree at λ\^4: 90 != 91$",
+        ) as caught:
+            z_recursion(2, 8)
+        assert caught.value.power == 4
 
 
 class TestResumedLogarithm:

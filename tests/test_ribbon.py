@@ -118,6 +118,23 @@ class TestValidate:
     def test_each_problem_is_named(self, m, problems):
         assert validate(m) == problems
 
+    @pytest.mark.parametrize(
+        "m, problems",
+        [
+            (RootedMap(2, (2, True), (1, 2), (1,)), ["alpha is not a permutation of 1..2"]),
+            (RootedMap(2, (2, 1), (True, 2), (1,)), ["sigma is not a permutation of 1..2"]),
+            (RootedMap(2, (2, 1), (1, 2), (True,)), ["root out of range 1..2"]),
+            (
+                RootedMap(False, (), (), ()),
+                ["half_edges must be an even non-negative integer, got False"],
+            ),
+        ],
+        ids=["alpha", "sigma", "roots", "half_edges"],
+    )
+    def test_a_bool_is_no_half_edge(self, m, problems):
+        # bool is a subclass of int; True sorts and compares as 1
+        assert validate(m) == problems
+
     def test_validate_never_raises(self):
         assert isinstance(validate(RootedMap(3, (1, 2), (), ())), list)
 

@@ -121,6 +121,37 @@ class TestContractionType:
             to_map(w)
 
 
+    @pytest.mark.parametrize("convert", [to_map, contraction_to_json])
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            (Contraction(1.5, 2, (2, 1), (1, 2, 3)),
+             "need an even vertex count and non-negative external count"),
+            (Contraction(True, 2, (2, 1), (1, 2, 3)),
+             "need an even vertex count and non-negative external count"),
+            (Contraction(1, 2.0, (2, 1), (1, 2, 3)),
+             "need an even vertex count and non-negative external count"),
+            (Contraction(1, 2, (2.0, 1), (1, 2, 3)),
+             "photon matching must be a fixed-point-free involution"),
+            (Contraction(1, 2, (2, True), (1, 2, 3)),
+             "photon matching must be a fixed-point-free involution"),
+            (Contraction(1, 2, (2, 1), (1, 2, "ket1")),
+             "electron targets must form a bijection onto the in-slots"),
+            (Contraction(1, 2, (2, 1), (1, 2, 3.0)),
+             "electron targets must form a bijection onto the in-slots"),
+            (Contraction(1, 2, (2, 1), (True, 2, 3)),
+             "electron targets must form a bijection onto the in-slots"),
+        ],
+        ids=[
+            "float-external", "bool-external", "float-vertices", "float-photon",
+            "bool-photon", "string-target", "float-target", "bool-target",
+        ],
+    )
+    def test_non_integer_entry_is_named(self, convert, w, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            convert(w)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize(
         "n_external,edges",
