@@ -4,14 +4,15 @@ This module machine-checks the algebraic layer of the enumeration:
 
 * an integer triangle ``B[n][k]`` (for ``B_{n,2k-1}``) defined by the recursion
   B_{n+1,2k-1} = B_{n,2k-3} + (2k+n+1) B_{n,2k-1}, which expresses λ^n Z_0^{(n)}
-  in a basis of double-factorial series;
-* the double-factorial series R_i(λ) = Σ_k (2k+i)!! λ^{2k} and their
-  re-expressions through Z_0;
-* each quotient Z_j/Z_0 — and then every M_N — written as a polynomial in M₁
-  whose coefficients are finite Laurent polynomials in λ, built once per
-  process whatever the order (negative powers appear in intermediate terms
-  and must cancel after substituting the M₁ series; the cancellation is
-  asserted at each requested order, never assumed);
+  in a basis of double-factorial series, and those series
+  R_i(λ) = Σ_k (2k+i)!! λ^{2k} with their re-expressions through Z_0: the
+  paper's lemma, checked here but read by no construction;
+* each quotient Z_j/Z_0, built by the raising ladder of Z_j and the M₁ ODE,
+  and then every M_N, written as a polynomial in M₁ whose coefficients are
+  finite Laurent polynomials in λ, built once per process whatever the order
+  (negative powers appear in intermediate terms and must cancel after
+  substituting the M₁ series; the cancellation is asserted at each requested
+  order, never assumed);
 * residual checks for the ordinary differential equations satisfied by M₁,
   M₀ and the normalized Z₀.
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Callable, Sequence
 
 from .combinat import double_factorial
@@ -263,31 +264,24 @@ class M1Polynomial:
 
 @cache
 def _zj_table(j: int) -> M1Polynomial:
-    """Z_j/Z_0 as a degree-<=1 polynomial in M₁, whatever the order.
+    """Z_j/Z_0 = a + b·M₁, whatever the order; a and b are integer rows over
+    λ^{2−2j}..λ⁰.  The raising ladder Z_{i+1} = (i+1+λ∂)Z_i of
+    :func:`~nrooted.qft.z_recursion` runs from a = 1, b = 0; with
+    λZ₀′ = (M₁−1)·Z₀ and the M₁ ODE λ³M₁′ = M₁ − 1 − λ²M₁ − λ²M₁², the M₁²
+    terms cancel, and step i maps the coefficients at λ^p as
 
-    Z_j/Z_0 = Σ_{n≤j} Σ_{k≤n} (−1)^{n−k}·j!·C(j,n)/n!·B_{n,2k−1}·bracket(k), with
-
-        bracket(k) = δ_{k,0} + [k>=1] M₁ λ^{-(2k-2)}
-                     - [k>=2] (1 - λ² M₁) Σ_{m=0}^{k-2} (2m+1)!! λ^{-(2k-2m-2)}.
-
-    Every weight is an integer, so the table is over denominator 1.
+        a_p <- (i+p)·a_p − b_{p+2},    b_p <- (i−1+p)·b_p + a_p + b_{p+2}.
     """
-    rows = b_table(max(j, 1))
     low = min(0, 2 - 2 * j)
-    const, linear = [0] * (1 - low), [0] * (1 - low)  # λ^low .. λ^0
-    for n in range(j + 1):
-        outer = comb(j, n) * factorial(j) // factorial(n)
-        for k in range(n + 1):
-            weight = (-1) ** (n - k) * outer * rows[n][k]
-            if k == 0:
-                const[-low] += weight
-            else:
-                linear[2 - 2 * k - low] += weight
-            for m in range(k - 1):
-                term = weight * double_factorial(2 * m + 1)
-                const[2 * m + 2 - 2 * k - low] -= term
-                linear[2 * m + 4 - 2 * k - low] += term
-    return M1Polynomial([const, linear], low)
+    powers = range(low, 1)
+    a, b = [0] * -low + [1], [0] * (1 - low)
+    for i in range(j):
+        b2 = [*b[2:], 0, 0]  # b_{p+2} at λ^p
+        a, b = (
+            [(i + p) * a_p - b2_p for p, a_p, b2_p in zip(powers, a, b2)],
+            [(i - 1 + p) * b_p + a_p + b2_p for p, a_p, b_p, b2_p in zip(powers, a, b, b2)],
+        )
+    return M1Polynomial([a, b], low)
 
 
 def _require_substitution(context: str, poly: M1Polynomial, expected: Series) -> None:
@@ -300,9 +294,9 @@ def _require_substitution(context: str, poly: M1Polynomial, expected: Series) ->
 def zj_over_z0_in_m1(j: int, order: int) -> M1Polynomial:
     """The quotient Z_j/Z_0 as a degree-<=1 polynomial in M₁.
 
-    Assembled from the B-table against the bracket terms once per j, whatever
-    the order; validated by substituting the M₁ series and comparing with the
-    direct series division to the requested order, on every call.
+    Built by the raising ladder of Z_j once per j, whatever the order;
+    validated by substituting the M₁ series and comparing with the direct
+    series division to the requested order, on every call.
     """
     if j < 0:
         raise ValueError("j must be non-negative")

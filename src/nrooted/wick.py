@@ -106,13 +106,17 @@ def _check_contraction(w: Contraction) -> None:
     n, big_n = w.n_vertices, w.n_external
     if not _all_ints((n, big_n)) or n < 0 or n % 2 != 0 or big_n < 0:
         raise ValueError("need an even vertex count and non-negative external count")
-    if n > 0 and not (_all_ints(w.photon) and is_involution_without_fixed_points(w.photon)):
+    # tuples first, as ``ribbon._is_perm`` requires of a map's permutations
+    if not isinstance(w.photon, tuple) or (
+        n > 0 and not (_all_ints(w.photon) and is_involution_without_fixed_points(w.photon))
+    ):
         raise ValueError("photon matching must be a fixed-point-free involution")
     if len(w.photon) != n:
         raise ValueError(f"photon matching must cover exactly {n} vertices")
-    if len(w.targets) != big_n + n:
+    sized = isinstance(w.targets, tuple)
+    if sized and len(w.targets) != big_n + n:
         raise ValueError(f"expected {big_n + n} electron targets")
-    if not _all_ints(w.targets) or sorted(w.targets) != list(range(1, n + big_n + 1)):
+    if not sized or not _all_ints(w.targets) or sorted(w.targets) != list(range(1, n + big_n + 1)):
         raise ValueError("electron targets must form a bijection onto the in-slots")
 
 

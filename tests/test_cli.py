@@ -645,6 +645,27 @@ class TestVerifyCommand:
         ]
         assert err == "FAIL b-closed-forms: B[5][4]: 99 != 35\n"
 
+    def test_polynomials_do_not_read_the_b_table(self, capsys, monkeypatch):
+        # B[3][1] = B_{3,1} is 27; 28 breaks the lemma at n = 3 alone, and the
+        # quotients and M_N, built by the ladder, do not read the table
+        from nrooted.relations import b_table
+
+        def perturbed(n_max):
+            rows = b_table(n_max)
+            if n_max < 3:
+                return rows
+            return (*rows[:3], (rows[3][0], rows[3][1] + 1, *rows[3][2:]), *rows[4:])
+
+        monkeypatch.setattr(nrooted.relations, "b_table", perturbed)
+        code, out, err = run(capsys, "verify", "--suite", "theorem3")
+        assert code == 1
+        failed = [r["identity"] for r in json.loads(out) if not r["pass"]]
+        assert failed == ["z0-derivative-basis-n3"]
+        assert err == (
+            "FAIL z0-derivative-basis-n3: derivative-basis identity (n=3): "
+            "sides differ at λ^0: 0 != 1\n"
+        )
+
     def test_wrong_z1_shape_fails_alone(self, capsys, monkeypatch):
         # 2·M₁ in place of M₁; the closures build their quotients without this function
         from nrooted.relations import M1Polynomial

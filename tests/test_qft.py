@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -293,6 +293,16 @@ class TestMCount:
 
     def test_three_roots_two_edges(self):
         assert m_count(3, 2) == 6
+
+    def test_no_map_has_fewer_edges_than_roots_less_one(self):
+        # roots lie in distinct vertices, and e edges connect at most e + 1 of them
+        assert all(m_count(n, e) == 0 for n in range(2, 17) for e in range(n - 1))
+
+    def test_tree_diagonal(self):
+        # at N = e + 1 every vertex is a root, so the map is a plane tree
+        want = [factorial(e - 1) * comb(3 * e, e - 1) for e in range(1, 16)]
+        assert want[:3] == [1, 6, 72]
+        assert [m_count(e + 1, e) for e in range(1, 16)] == want
 
     def test_negative_edges_rejected(self):
         with pytest.raises(ValueError):

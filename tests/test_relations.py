@@ -1,7 +1,7 @@
 """Triangle table, auxiliary double-factorial series, closures, and ODE checks."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -233,7 +233,38 @@ class TestM1Polynomial:
         assert p.evaluate(x, 3) == want
 
 
+def zj_table_from_b_table(j: int) -> M1Polynomial:
+    """Z_j/Z_0 as the paper assembles it, from the B-table against its brackets:
+
+    Z_j/Z_0 = Σ_{n≤j} Σ_{k≤n} (−1)^{n−k}·j!·C(j,n)/n!·B_{n,2k−1}·bracket(k), with
+
+        bracket(k) = δ_{k,0} + [k>=1] M₁ λ^{-(2k-2)}
+                     - [k>=2] (1 - λ² M₁) Σ_{m=0}^{k-2} (2m+1)!! λ^{-(2k-2m-2)}.
+    """
+    rows = b_table(max(j, 1))
+    low = min(0, 2 - 2 * j)
+    const, linear = [0] * (1 - low), [0] * (1 - low)  # λ^low .. λ^0
+    for n in range(j + 1):
+        outer = comb(j, n) * factorial(j) // factorial(n)
+        for k in range(n + 1):
+            weight = (-1) ** (n - k) * outer * rows[n][k]
+            if k == 0:
+                const[-low] += weight
+            else:
+                linear[2 - 2 * k - low] += weight
+            for m in range(k - 1):
+                term = weight * odd_double_factorial(2 * m + 1)
+                const[2 * m + 2 - 2 * k - low] -= term
+                linear[2 * m + 4 - 2 * k - low] += term
+    return M1Polynomial([const, linear], low)
+
+
 class TestRatioPolynomials:
+    @pytest.mark.parametrize("j", range(17))
+    def test_ladder_equals_the_b_table_assembly(self, j):
+        assert nrooted.relations._zj_table(j) == zj_table_from_b_table(j)
+        assert zj_over_z0_in_m1(j, 40) == zj_table_from_b_table(j)
+
     def test_index_zero_is_unity(self):
         p = zj_over_z0_in_m1(0, 10)
         assert p.coefficients == ({0: Fraction(1)},)

@@ -141,10 +141,20 @@ class TestContractionType:
              "electron targets must form a bijection onto the in-slots"),
             (Contraction(1, 2, (2, 1), (True, 2, 3)),
              "electron targets must form a bijection onto the in-slots"),
+            # not tuples, so rejected before any ``len`` or indexing
+            (Contraction(1, 2, 5, (1, 2, 3)),
+             "photon matching must be a fixed-point-free involution"),
+            (Contraction(1, 2, [2, 1], [1, 2, 3]),
+             "photon matching must be a fixed-point-free involution"),
+            (Contraction(1, 2, (2, 1), None),
+             "electron targets must form a bijection onto the in-slots"),
+            (Contraction(1, 0, (), 7),
+             "electron targets must form a bijection onto the in-slots"),
         ],
         ids=[
             "float-external", "bool-external", "float-vertices", "float-photon",
             "bool-photon", "string-target", "float-target", "bool-target",
+            "int-photon", "list-photon", "none-targets", "int-targets",
         ],
     )
     def test_non_integer_entry_is_named(self, convert, w, message):
