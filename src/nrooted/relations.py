@@ -26,7 +26,7 @@ the ODE checks never load it.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
 from math import factorial, gcd, lcm
@@ -151,18 +151,18 @@ def check_derivative_basis(n: int, order: int) -> None:
 class M1Polynomial:
     """Σ_i c_i(λ) · M₁^i, each c_i a finite Laurent polynomial in λ.
 
-    Stored as :class:`~nrooted.series.Series` stores a series: an ``int``
-    table over one positive denominator, in lowest terms.  Row i holds the
-    numerators of c_i at λ^low, λ^{low+1}, …; the rows share one width, with
-    no all-zero edge column and no trailing all-zero row (the zero polynomial
-    is one empty row).  ``coefficients`` reads each c_i back in Laurent form.
+    Stored as its non-zero monomials, ``{(i, p): numerator}`` for λ^p·M₁^i,
+    over one positive denominator in lowest terms (the zero polynomial: none,
+    over 1).  Only the constructor checks its entries; it and every operator
+    share one normalizer, ``_reduced``, as series share ``Series._reduced``.
+    ``coefficients`` reads each c_i back in Laurent form.
 
     The c_i may carry negative λ-powers individually; only after substituting
     the M₁ power series must everything collapse to an honest power series.
     :meth:`evaluate` performs that substitution and asserts the cancellation.
     """
 
-    __slots__ = ("_table", "_low", "_denominator")
+    __slots__ = ("_terms", "_denominator")
 
     def __init__(self, table: Sequence[Sequence[int]], low: int = 0, denominator: int = 1):
         """Row i of ``table`` lists the numerators of c_i from λ^low upwards."""
@@ -170,51 +170,54 @@ class M1Polynomial:
             raise TypeError("M1Polynomial entries, low and denominator must be int")
         if denominator <= 0:
             raise ValueError("denominator must be positive")
-        width = max((len(row) for row in table), default=0)
-        rows = [list(row) + [0] * (width - len(row)) for row in table] or [[]]
-        while len(rows) > 1 and not any(rows[-1]):
-            rows.pop()
-        used = [k for k, column in enumerate(zip(*rows)) if any(column)]
-        if not used:
-            rows, low, denominator = [[]], 0, 1
-        else:
-            g = gcd(denominator, *(v for row in rows for v in row))
-            rows = [[v // g for v in row[used[0] : used[-1] + 1]] for row in rows]
-            low, denominator = low + used[0], denominator // g
-        self._table = tuple(tuple(row) for row in rows)
-        self._low = low
-        self._denominator = denominator
+        terms = {(i, low + k): v for i, row in enumerate(table) for k, v in enumerate(row)}
+        reduced = self._reduced(terms, denominator)
+        self._terms, self._denominator = reduced._terms, reduced._denominator
+
+    @classmethod
+    def _reduced(cls, terms: dict[tuple[int, int], int], den: int) -> "M1Polynomial":
+        """terms/den for den > 0, without its zero terms and divided by its content gcd."""
+        terms = {key: v for key, v in terms.items() if v}
+        g = gcd(den, *terms.values())
+        poly = object.__new__(cls)
+        poly._terms = {key: v // g for key, v in terms.items()} if g != 1 else terms
+        poly._denominator = den // g
+        return poly
 
     @property
     def degree(self) -> int:
-        return len(self._table) - 1
+        return max((i for i, _ in self._terms), default=0)
 
     @property
     def coefficients(self) -> tuple[dict[int, Fraction], ...]:
         """Each c_i as {λ-power: coefficient}, non-zero terms by rising power."""
-        return tuple(
-            {self._low + k: Fraction(v, self._denominator) for k, v in enumerate(row) if v}
-            for row in self._table
-        )
+        rows: list[dict[int, Fraction]] = [{} for _ in range(self.degree + 1)]
+        for (i, p), v in sorted(self._terms.items()):
+            rows[i][p] = Fraction(v, self._denominator)
+        return tuple(rows)
 
     def min_lambda_power(self) -> int:
         """The lowest λ-power with a non-zero coefficient; 0 for the zero polynomial."""
-        return self._low
+        return min((p for _, p in self._terms), default=0)
+
+    def _rows(self, low: int) -> list[list[int]]:
+        """Row i holds c_i's numerators from λ^low (at most the lowest power) up."""
+        top = max((p for _, p in self._terms), default=low - 1)
+        rows = [[0] * (top - low + 1) for _ in range(self.degree + 1)]
+        for (i, p), v in self._terms.items():
+            rows[i][p - low] = v
+        return rows
 
     def __add__(self, other: "M1Polynomial") -> "M1Polynomial":
         if not isinstance(other, M1Polynomial):
             return NotImplemented
-        operands = (self, other)
-        low = min(p._low for p in operands)
-        top = max(p._low + len(p._table[0]) for p in operands)
         den = lcm(self._denominator, other._denominator)
-        rows = [[0] * (top - low) for _ in range(max(len(p._table) for p in operands))]
-        for p in operands:
-            scale, offset = den // p._denominator, p._low - low
-            for target, row in zip(rows, p._table):
-                for k, v in enumerate(row):
-                    target[offset + k] += scale * v
-        return M1Polynomial(rows, low, den)
+        terms = Counter()
+        for poly in (self, other):
+            scale = den // poly._denominator
+            for key, v in poly._terms.items():
+                terms[key] += scale * v
+        return M1Polynomial._reduced(terms, den)
 
     def __mul__(self, other):
         if not isinstance(other, M1Polynomial):
@@ -222,20 +225,14 @@ class M1Polynomial:
                 c = _as_fraction(other)
             except TypeError:
                 return NotImplemented
-            rows = [[c.numerator * v for v in row] for row in self._table]
-            return M1Polynomial(rows, self._low, c.denominator * self._denominator)
-        width = len(self._table[0]) + len(other._table[0]) - 1
-        rows = [[0] * max(width, 0) for _ in range(len(self._table) + len(other._table) - 1)]
-        for i, a in enumerate(self._table):
-            for j, b in enumerate(other._table):
-                target = rows[i + j]
-                for k, a_k in enumerate(a):
-                    if a_k:
-                        for m, b_m in enumerate(b):
-                            target[k + m] += a_k * b_m
-        return M1Polynomial(
-            rows, self._low + other._low, self._denominator * other._denominator
-        )
+            num = c.numerator
+            terms = {key: num * v for key, v in self._terms.items()}
+            return M1Polynomial._reduced(terms, c.denominator * self._denominator)
+        terms = Counter()
+        for (i, p), a in self._terms.items():
+            for (j, q), b in other._terms.items():
+                terms[i + j, p + q] += a * b
+        return M1Polynomial._reduced(terms, self._denominator * other._denominator)
 
     __rmul__ = __mul__
 
@@ -245,7 +242,9 @@ class M1Polynomial:
         return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def __repr__(self):
-        return f"M1Polynomial({self._table}, low={self._low}, denominator={self._denominator})"
+        low = self.min_lambda_power()
+        table = tuple(tuple(row) for row in self._rows(low))
+        return f"M1Polynomial({table}, low={low}, denominator={self._denominator})"
 
     def evaluate(self, m1: Series, order: int) -> Series:
         """Substitute a truncated M₁ series, demanding a clean power series.
@@ -255,9 +254,8 @@ class M1Polynomial:
         consumed by the division.  Horner's rule runs on λ^s times the
         polynomial; non-cancelling negative powers raise :class:`ConsistencyError`.
         """
-        shift = max(0, -self._low)
-        lifted = [[0] * (self._low + shift) + list(row) for row in self._table]
-        return horner(lifted, self._denominator, m1, order + shift).unshifted(
+        shift = max(0, -self.min_lambda_power())
+        return horner(self._rows(-shift), self._denominator, m1, order + shift).unshifted(
             shift, "M₁ substitution"
         )
 

@@ -133,7 +133,7 @@ def validate(m: RootedMap) -> list[str]:
     if not _is_transitive(m.alpha, m.sigma, n):
         problems.append("half-edge action not transitive (graph is disconnected)")
 
-    if not isinstance(m.roots, (tuple, list)):
+    if not isinstance(m.roots, tuple):
         problems.append(f"roots must be a tuple of half-edges, got {m.roots!r}")
     elif not m.roots:
         problems.append("at least one root half-edge is required")

@@ -1,5 +1,6 @@
 """Triangle table, auxiliary double-factorial series, closures, and ODE checks."""
 
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -149,7 +150,45 @@ class TestFirstMomentIdentities:
         assert lhs == rhs
 
 
+def random_polynomial(rng: random.Random) -> M1Polynomial:
+    """Up to 3 rows of up to 4 small numerators, zeros among them, at a random
+    λ-offset and denominator."""
+    rows = [
+        [rng.choice((0, 0, -3, -1, 1, 2, 6)) for _ in range(rng.randint(0, 4))]
+        for _ in range(rng.randint(1, 3))
+    ]
+    return M1Polynomial(rows, rng.randint(-3, 2), rng.randint(1, 6))
+
+
+#: Rational points (λ, M₁) at which random polynomials are compared by value.
+POINTS = [
+    (Fraction(1, 2), Fraction(3)),
+    (Fraction(-2, 3), Fraction(1, 5)),
+    (Fraction(3), Fraction(-1)),
+]
+
+
+def value_at(p: M1Polynomial, lam: Fraction, m1: Fraction) -> Fraction:
+    """p at the point (λ, M₁), read from its ``coefficients``."""
+    return sum(
+        c * lam**k * m1**i for i, laurent in enumerate(p.coefficients) for k, c in laurent.items()
+    )
+
+
 class TestM1Polynomial:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_arithmetic_agrees_with_values(self, seed):
+        rng = random.Random(seed)
+        a, b = random_polynomial(rng), random_polynomial(rng)
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        for lam, m1 in POINTS:
+            va, vb = value_at(a, lam, m1), value_at(b, lam, m1)
+            assert value_at(a + b, lam, m1) == va + vb
+            assert value_at(a * b, lam, m1) == va * vb
+            assert value_at(c * a, lam, m1) == c * va
+        for p in (a, b, a + b, a * b, c * a):
+            assert eval(repr(p)) == p
+
     def test_table_reads_back_in_laurent_form(self):
         p = M1Polynomial([[3]], low=-2, denominator=2)
         assert p.coefficients == ({-2: Fraction(3, 2)},)

@@ -113,6 +113,7 @@ class TestValidate:
             ),
             (RootedMap(2, (2, 1), (2, 1), ()), ["at least one root half-edge is required"]),
             (RootedMap(2, (2, 1), (1, 2), 1), ["roots must be a tuple of half-edges, got 1"]),
+            (RootedMap(2, (2, 1), (2, 1), [1]), ["roots must be a tuple of half-edges, got [1]"]),
         ],
     )
     def test_each_problem_is_named(self, m, problems):

@@ -14,8 +14,8 @@ lines exactly when their CLI answers the corpus byte for byte the same:
 
 The corpus covers ``series`` for every family and format, ``count`` for
 every method, ``verify`` for every suite, each in and past its bounds, and
-``convert`` both ways on every map of ``perfbench/maps_e3.json`` and on
-malformed and oversized documents.  Every argv parses.  The script writes
+``convert`` both ways on every map of ``perfbench/maps_e3.json`` and on the
+point map, and on malformed and oversized documents.  Every argv parses.  The script writes
 no file (no bytecode either) and takes about 5 s (Python 3.11, 2-core VM).
 """
 
@@ -42,6 +42,7 @@ EXAMPLE_MAP = {
     "sigma": [[1], [2, 7, 3, 9], [4, 6, 5], [11, 10, 8, 12]],
     "roots": [1, 2, 11],
 }
+POINT_MAP = {"half_edges": 0, "alpha": [], "sigma": [], "roots": []}
 LOOP_CONTRACTION = {
     "n_external": 1, "n_vertices": 2, "photon_pairs": [[1, 2]], "electron_targets": [1, 2, "ket1"],
 }
@@ -54,11 +55,13 @@ MAP_FAULTS = {
     "entry past the end": {"alpha": [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10], [11, 13]]},
     "missing vertex": {"sigma": [[1], [2, 7, 3, 9], [4, 6, 5]]},
     "roots sharing a vertex": {"roots": [1, 2, 9]},
+    "duplicate roots": {"roots": [1, 1, 11]},
     "string roots": {"roots": "1"},
     "boolean root": {"roots": [True, 2, 11]},
     "boolean half_edges": {"half_edges": False, "alpha": [], "sigma": [], "roots": []},
-    "falsy edgeless fields": {"half_edges": 0, "alpha": 0, "sigma": None, "roots": False},
+    "falsy edgeless fields": {"half_edges": 0, "alpha": 0, "sigma": "", "roots": False},
     "fixed points": {"alpha": [[1], [2], [3, 4], [5, 6], [7, 8], [9, 10], [11, 12]]},
+    "alpha 3-cycles": {"alpha": [[1, 2, 4], [3, 5, 6], [7, 8], [9, 10], [11, 12]]},
     "empty cycle": {"sigma": [[1], [2, 7, 3, 9], [4, 6, 5], [11, 10, 8, 12], []]},
     "alpha not cycles": {"alpha": [1, 2]},
     "repeated entry": {"half_edges": 2, "alpha": [[1, 2], [2]], "sigma": [[1, 2]], "roots": [1]},
@@ -157,6 +160,8 @@ def calls() -> list[tuple[list[str], str | None, object]]:
     for i, doc in enumerate(maps):
         add("convert", "--to", "contraction", name=f"maps_e3[{i}]", text=json.dumps(doc))
         add("convert", "--to", "map", name="the stdout before", text=PREVIOUS)
+    add("convert", "--to", "contraction", name="the point map", text=json.dumps(POINT_MAP))
+    add("convert", "--to", "map", name="the stdout before", text=PREVIOUS)
     for fault, changes in MAP_FAULTS.items():
         add("convert", "--to", "contraction", name=f"map, {fault}",
             text=_document(EXAMPLE_MAP, changes))
