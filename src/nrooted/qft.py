@@ -12,8 +12,8 @@ edges.  It is taken as a logarithm,
     M_N = N! · [t^N] log Σ_{j≥0} (Z_j/Z_0) t^j / (j!)²
 
 (see :func:`m_series`).  Everything here is exact rational arithmetic on
-:class:`Series`.  Each order-indexed family (Z_j, 1/Z_0, the scaled quotients,
-M_N, M_0) keeps one entry per index, at the widest order built so far, and
+:class:`Series`.  Each order-indexed family (Z_j, 1/Z_0, the moments, M_N,
+M_0) keeps one entry per index, at the widest order built so far, and
 serves every lower order by truncating it.
 
 Normalization note: ``m0_series`` is the logarithm of the *normalized* vacuum
@@ -34,7 +34,7 @@ from math import factorial, perm
 
 from .combinat import double_factorial
 from .errors import BoundExceededError, ConsistencyError
-from .series import Series, log_coefficients, require_agreement
+from .series import Series, cumulants, require_agreement
 
 __all__ = [
     "z_series",
@@ -181,9 +181,9 @@ def _z0_inverse(order: int) -> Series:
 
 
 @_widest_order_cache
-def _scaled_quotient(j: int, order: int) -> Series:
-    """(Z_j/Z_0)/(j!)², the j-th term of the series whose logarithm is taken."""
-    return z_series(j, order) * _z0_inverse(order) * Fraction(1, factorial(j) ** 2)
+def _moment(j: int, order: int) -> Series:
+    """(Z_j/Z_0)/j!, the j-th moment whose cumulants are the M_N."""
+    return z_series(j, order) * _z0_inverse(order) * Fraction(1, factorial(j))
 
 
 @_widest_order_cache
@@ -195,22 +195,25 @@ def m_series(n: int, order: int) -> Series:
 
         M_N = N! · [t^N] log(1 + Σ_{j≥1} q_j t^j / (j!)²),
 
-    the closed form of the paper's Theorem-2 inclusion–exclusion.  The
-    recurrence resumes from the cached lower parts m_series(i)/i!, i < N.
+    the closed form of the paper's Theorem-2 inclusion–exclusion.  So M_N is
+    the N-th cumulant of the moments A_j = q_j/j!, by
+    :func:`~nrooted.series.cumulants`, resumed from the cached lower
+    m_series(i), i < N.
     The result (integers over one denominator, read as ``Fraction`` values)
     must have non-negative integer coefficients (they are counts); any other
     outcome raises :class:`ConsistencyError`.
     """
     if n < 1:
         raise ValueError("n must be at least 1 (counts are for rooted objects)")
-    known = [m_series(i, order) * Fraction(1, factorial(i)) for i in range(1, n)]
-    scaled = [_scaled_quotient(j, order) for j in range(1, n + 1)]
-    total = log_coefficients(scaled, known)[-1] * factorial(n)
+    known = [m_series(i, order) for i in range(1, n)]
+    moments = [_moment(j, order) for j in range(1, n + 1)]
+    total = cumulants(moments, known)[-1]
     for p, c in enumerate(total.coefficients):
         if c.denominator != 1 or c < 0:
             raise ConsistencyError(
                 f"m_series({n}): coefficient of λ^{p} is {c}, "
-                "expected a non-negative integer"
+                "expected a non-negative integer",
+                power=p,
             )
     return total
 

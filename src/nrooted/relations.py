@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 from .combinat import double_factorial
 from .errors import ConsistencyError
 from .qft import _z0_inverse, m0_series, m_series, z_np_series, z_series
-from .series import Series, _as_fraction, horner, log_coefficients, require_agreement
+from .series import Series, _as_fraction, cumulants, horner, require_agreement
 
 __all__ = [
     "b_table",
@@ -316,21 +316,21 @@ def check_z1_is_m1(order: int) -> None:
 
 @cache
 def _mn_table(n: int) -> M1Polynomial:
-    """M_N, whatever the order, resumed from the lower M_i/i!; unchecked, so
-    that a failed check of one :func:`mn_in_m1` does not fail those above it."""
-    known = [_mn_table(i) * Fraction(1, factorial(i)) for i in range(1, n)]
-    scaled = [_zj_table(j) * Fraction(1, factorial(j) ** 2) for j in range(1, n + 1)]
-    return log_coefficients(scaled, known)[-1] * factorial(n)
+    """M_N, whatever the order: the N-th cumulant of the moments
+    (Z_j/Z_0)/j!, resumed from the lower M_i; unchecked, so that a failed
+    check of one :func:`mn_in_m1` does not fail those above it."""
+    moments = [_zj_table(j) * Fraction(1, factorial(j)) for j in range(1, n + 1)]
+    return cumulants(moments, [_mn_table(i) for i in range(1, n)])[-1]
 
 
 def mn_in_m1(n: int, order: int) -> M1Polynomial:
     """M_N as a polynomial of degree exactly N in M₁.
 
     Takes the same logarithm as :func:`~nrooted.qft.m_series`,
-    M_N = N! · [t^N] log(1 + Σ_j (Z_j/Z_0) t^j/(j!)²), over the degree-1
-    quotient polynomials instead of series, resumed from the lower M_i/i!,
-    once per N whatever the order; validated by degree check and by
-    substituting the M₁ series against m_series(N), on every call.
+    M_N = N! · [t^N] log(1 + Σ_j (Z_j/Z_0) t^j/(j!)²), as the N-th cumulant
+    of the degree-1 moments (Z_j/Z_0)/j! instead of series, resumed from the
+    lower M_i, once per N whatever the order; validated by degree check and
+    by substituting the M₁ series against m_series(N), on every call.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

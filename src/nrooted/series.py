@@ -7,10 +7,10 @@ All arithmetic is exact; floats are rejected.
 Storage: ``int`` numerators n[0..K] over one positive denominator d, in lowest
 terms (gcd(d, n[0], …, n[K]) = 1), so equality and hashing compare
 ``(numerators, denominator)``.  Every operation runs on those integers and
-ends with one content gcd; multiply, invert and exp (log through the first
-two) run the classical recurrences (Knuth, TAOCP vol. 2, §4.7) and skip zero
-factors.  ``Fraction`` values are formed only when ``coefficients`` or
-``coefficient(p)`` is read.
+ends with one content gcd; multiply, and invert, exp and log as one divided
+recurrence, run the classical recurrences (Knuth, TAOCP vol. 2, §4.7) and
+skip zero factors.  ``Fraction`` values are formed only when ``coefficients``
+or ``coefficient(p)`` is read.
 
 Truncation-order rules
 ----------------------
@@ -32,7 +32,7 @@ denominator.  Series JSON is output only: no reader parses it back.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Sequence, TypeVar, Union
 
 from .errors import ConsistencyError
@@ -40,26 +40,27 @@ from .errors import ConsistencyError
 Rational = Union[int, Fraction]
 T = TypeVar("T")
 
-__all__ = ["Series", "Rational", "log_coefficients", "first_difference", "horner",
+__all__ = ["Series", "Rational", "cumulants", "first_difference", "horner",
            "require_agreement"]
 
 
-def log_coefficients(u: Sequence[T], known: Sequence[T] = ()) -> list[T]:
-    """L_1..L_n with log(1 + Σ_j u_j t^j) = Σ_j L_j t^j + O(t^{n+1}).
+def cumulants(moments: Sequence[T], known: Sequence[T] = ()) -> list[T]:
+    """K_1..K_n with log(1 + Σ_j A_j t^j/j!) = Σ_j K_j t^j/j! + O(t^{n+1}),
+    for the moments A_1..A_n.
 
-    Solved from log(a)' = a'/a, i.e. j·L_j = j·u_j − Σ_{i<j} i·L_i·u_{j−i}.
-    ``known`` holds L_1..L_m already found for the same u_1..u_m; the
-    recurrence resumes at L_{m+1}.  The u_j may come from any commutative
-    ring that admits ``+``, ``*`` and multiplication by ``int`` and
-    ``Fraction`` scalars — rationals, series, polynomials.
+    The moment–cumulant recurrence K_n = A_n − Σ_{i<n} C(n−1, i−1)·K_i·A_{n−i}.
+    ``known`` holds K_1..K_m already found for the same A_1..A_m; the
+    recurrence resumes at K_{m+1}.  The A_j may come from any commutative ring
+    that admits ``+``, ``*`` and multiplication by ``int`` — rationals, series,
+    polynomials; each binomial weight scales a moment, not a product.
     """
-    logs: list[T] = list(known)
-    for j in range(len(logs) + 1, len(u) + 1):
-        acc = u[j - 1] * j
-        for i in range(1, j):
-            acc = acc + logs[i - 1] * u[j - i - 1] * (-i)
-        logs.append(acc * Fraction(1, j))
-    return logs
+    found: list[T] = list(known)
+    for n in range(len(found) + 1, len(moments) + 1):
+        acc = moments[n - 1]
+        for i in range(1, n):
+            acc = acc + found[i - 1] * (moments[n - i - 1] * -comb(n - 1, i - 1))
+        found.append(acc)
+    return found
 
 
 def first_difference(a: Series, b: Series) -> tuple[int, Fraction, Fraction] | None:
@@ -119,13 +120,13 @@ def horner(rows: Sequence[Sequence[int]], den: int, x: "Series", order: int) -> 
     return Series._reduced(acc, den * scale)
 
 
-def _divided_recurrence(c: list[int], g0: int, divisor) -> list[int]:
-    """g_0 = g0 and divisor(q)·g_q = Σ_{i=1}^{q} c_i·g_{q−i}; each division is exact."""
+def _divided_recurrence(c: list[int], seed: list[int], divisor) -> list[int]:
+    """g_0 = seed_0 and divisor(q)·g_q = seed_q + Σ_{i=1}^{q} c_i·g_{q−i}, divided exactly."""
     k = len(c) - 1
     terms = [(i, c_i) for i, c_i in enumerate(c) if i and c_i]
-    g = [g0] + [0] * k
+    g = list(seed)
     for p in range(k + 1):
-        g_p = g[p] = g[p] // divisor(p) if p else g0
+        g_p = g[p] = g[p] // divisor(p) if p else g[0]
         if g_p:  # complete now: push it into the later sums, skipping zeros
             for i, c_i in terms:
                 if p + i > k:
@@ -297,7 +298,7 @@ class Series:
         # self = a/d and 1/a = Σ g_p x^p / a0^{k+1}, where g_0 = a0^k and
         # a0·g_p = −Σ_{i=1}^{p} a_i·g_{p−i}.
         a0, a0_k = a[0], a[0] ** self.order
-        g = _divided_recurrence([-a_i for a_i in a], a0_k, lambda p: a0)
+        g = _divided_recurrence([-a_i for a_i in a], [a0_k] + [0] * self.order, lambda p: a0)
         den = a0 * a0_k  # a0^{k+1}: negative for a negative a0 and even k
         sign = -1 if den < 0 else 1
         return Series._reduced([sign * d * g_p for g_p in g], sign * den)
@@ -330,22 +331,16 @@ class Series:
         return Series._reduced([i * n for i, n in enumerate(self._nums)], self._den)
 
     def log(self) -> "Series":
-        """Formal logarithm; requires constant term exactly 1.
-
-        Computed as ∫ a′·a⁻¹ through the multiply and invert kernels, which
-        preserves the order.
-        """
-        if self._nums[0] != self._den:  # lowest terms: c_0 = 1 iff n_0 = d
+        """Formal logarithm; requires constant term exactly 1."""
+        a, d, k = self._nums, self._den, self.order
+        if a[0] != d:  # lowest terms: c_0 = 1 iff n_0 = d
             raise ValueError("log requires a series with constant term 1")
-        if self.order == 0:
-            return Series.zero(0)
-        quotient = self.derivative() * self.invert()
-        # ∫: coefficient p is q_{p−1}/p, over the common denominator lcm(1..k)·d
-        m = lcm(*range(1, self.order + 1))
-        return Series._reduced(
-            [0] + [q * (m // p) for p, q in enumerate(quotient._nums, start=1)],
-            m * quotient._den,
-        )
+        # self = a/d; h = x·a′/a has d·h_p = p·a_p − Σ_{i=1}^{p} a_i·h_{p−i}, so
+        # g = d^k·h is integral and log = Σ_p g_p/(p·d^k)·x^p, over lcm(1..k)·d^k.
+        d_k, m = d**k, lcm(*range(1, k + 1))
+        seed = [p * n * d_k for p, n in enumerate(a)]
+        g = _divided_recurrence([-n for n in a], seed, lambda p: d)
+        return Series._reduced([g_p * (m // p) if p else 0 for p, g_p in enumerate(g)], m * d_k)
 
     def exp(self) -> "Series":
         """Formal exponential; requires constant term exactly 0."""
@@ -353,9 +348,9 @@ class Series:
             raise ValueError("exp requires a series with constant term 0")
         # self = a/d and exp(self) = Σ g_q x^q / s with s = k!·d^k, where
         # g_0 = s and q·d·g_q = Σ_{i=1}^{q} i·a_i·g_{q−i} (from exp′ = self′·exp).
-        a, d = self._nums, self._den
-        s = factorial(self.order) * d**self.order
-        g = _divided_recurrence([i * a_i for i, a_i in enumerate(a)], s, lambda q: q * d)
+        a, d, k = self._nums, self._den, self.order
+        s = factorial(k) * d**k
+        g = _divided_recurrence([i * n for i, n in enumerate(a)], [s] + [0] * k, lambda q: q * d)
         return Series._reduced(g, s)
 
     # -- equality / hashing / display ---------------------------------------

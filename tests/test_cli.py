@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -619,6 +620,25 @@ class TestVerifyCommand:
             }
         ]
         assert err == "FAIL m2-table: at λ^6: 165 != 166\n"
+
+    def test_non_integral_series_names_its_power(self, capsys, monkeypatch):
+        # every moment (Z_j/Z_0)/j! raised by ½ at λ²: M_1 reads 5/2 there, and
+        # M_2 and M_3, which resume from M_1, fail on it too
+        real = nrooted.qft._moment
+        monkeypatch.setattr(
+            nrooted.qft,
+            "_moment",
+            lambda j, order: real(j, order) + Series.monomial(Fraction(1, 2), 2, order),
+        )
+        code, out, err = run(capsys, "verify", "--suite", "tables")
+        assert code == 1
+        failed = [r for r in json.loads(out) if not r["pass"]]
+        assert failed == [
+            {"identity": f"m{n}-table", "order_checked": 12, "pass": False,
+             "first_failure_power": 2}
+            for n in (1, 2, 3)
+        ]
+        assert err.startswith("FAIL m1-table: m_series(1): coefficient of λ^2 is 5/2, ")
 
     def test_wrong_b_table_entry_is_named(self, capsys, monkeypatch):
         # B[5][4] = B_{5,7} is 5·14/2 = 35; only the closed-form check reads

@@ -1,7 +1,8 @@
 """Every import and private helper in the package is used, only
 ``series.py`` touches the private storage of ``Series``, ``cli.py`` imports
 no private name, only ``relations.attempt`` builds a verification report and
-only ``permutations._pairing_components`` a union-find,
+only ``permutations._pairing_components`` a union-find, ``Series``' invert,
+exp and log share one divided recurrence and no other logarithm is defined,
 no module reads the environment or starts a thread or process, each
 command loads only the modules it runs, with no ``dataclasses`` among them,
 and every name and command line the benchmark under ``perfbench/`` reaches
@@ -173,6 +174,12 @@ def private_imports(source: str) -> list[str]:
     ]
 
 
+def call_name(call: ast.Call) -> str | None:
+    """The name a call calls, bare or as an attribute; None for any other callee."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def calls_outside(source: str, callee: str, home: str) -> list[int]:
     """The line of each call to ``callee``, by bare name or as an attribute,
     outside every function named ``home``."""
@@ -180,11 +187,8 @@ def calls_outside(source: str, callee: str, home: str) -> list[int]:
 
     def visit(node: ast.AST, inside: bool) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and not inside:
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == callee:
-                    found.append(child.lineno)
+            if isinstance(child, ast.Call) and not inside and call_name(child) == callee:
+                found.append(child.lineno)
             visit(child, inside or (isinstance(child, FUNCTIONS) and child.name == home))
 
     visit(ast.parse(source), False)
@@ -212,6 +216,62 @@ def test_one_connectivity_routine_builds_the_union_find():
     assert [name for name, lines in anywhere.items() for _ in lines] == ["permutations.py"]
     assert calls_outside(sources["permutations.py"], "UnionFind", "_pairing_components") == []
     assert not hasattr(UnionFind, "find") and not hasattr(UnionFind, "union")
+
+
+def calls_in(source: str, cls: str, method: str) -> set[str]:
+    """The name of each call, bare or as an attribute, inside ``cls.method``;
+    empty when there is no such method."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, FUNCTIONS) and item.name == method:
+                    calls = (c for c in ast.walk(item) if isinstance(c, ast.Call))
+                    return {call_name(call) for call in calls} - {None}
+    return set()
+
+
+def defined_functions(source: str) -> set[str]:
+    """The name of every function and method defined, at any depth."""
+    return {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, FUNCTIONS)}
+
+
+#: The routes the two logarithms replaced: the derivative times the inverse,
+#: and the ordinary-generating-function recurrence over (j!)²-scaled terms.
+RETIRED_LOG_ROUTES = {"invert", "derivative", "_product", "__mul__"}
+RETIRED_LOG_NAMES = {"log_coefficients", "_scaled_quotient"}
+
+
+def test_one_recurrence_serves_invert_exp_and_log(monkeypatch):
+    source = (PACKAGE_DIR / "series.py").read_text(encoding="utf-8")
+    for method in ("invert", "exp", "log"):
+        assert "_divided_recurrence" in calls_in(source, "Series", method), method
+    assert calls_in(source, "Series", "log") & RETIRED_LOG_ROUTES == set()
+    defined = {p.name: defined_functions(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {name: names & RETIRED_LOG_NAMES for name, names in defined.items()
+            if names & RETIRED_LOG_NAMES} == {}
+    # nor does log reach a series product through an operator
+    for name in ("__mul__", "__rmul__", "__truediv__", "invert", "derivative"):
+        monkeypatch.setattr(Series, name, None)
+    assert Series([1, 2, 3]).log().coefficients == (0, 2, 1)
+
+
+def test_scanner_reports_calls_in_a_method_and_definitions():
+    source = (
+        "class Series:\n"
+        "    def log(self):\n"
+        "        return _integrate(self.derivative() * self.invert())\n"
+        "    def exp(self):\n"
+        "        return _divided_recurrence(self)\n"
+        "def log_coefficients(u):\n"
+        "    def inner():\n"
+        "        return Series.log(u)\n"
+        "    return inner\n"
+    )
+    assert calls_in(source, "Series", "log") == {"_integrate", "derivative", "invert"}
+    assert calls_in(source, "Series", "exp") == {"_divided_recurrence"}
+    assert calls_in(source, "Series", "invert") == set()
+    assert calls_in(source, "Other", "log") == set()
+    assert defined_functions(source) == {"log", "exp", "log_coefficients", "inner"}
 
 
 def test_scanner_reports_private_imports():

@@ -28,7 +28,7 @@ from nrooted.qft import (
     z_series,
 )
 from nrooted.relations import zj_over_z0_in_m1
-from nrooted.series import Series, log_coefficients
+from nrooted.series import Series, cumulants
 
 
 def S(*coeffs):
@@ -149,6 +149,8 @@ class TestM0:
 
 
 class TestLogCoefficients:
+    """The cumulants: the coefficients, times n!, of log(1 + Σ_j A_j t^j/j!)."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
@@ -158,22 +160,24 @@ class TestLogCoefficients:
     )
     def test_exp_undoes_log(self, u):
         # Series.exp runs its own recurrence, so this is a round trip
-        logs = log_coefficients(u)
-        assert Series([0] + logs).exp() == Series([1] + u)
+        logs = cumulants(u)
+        egf = [Fraction(1, factorial(n)) for n in range(1, len(u) + 1)]
+        assert Series([0] + [k * w for k, w in zip(logs, egf)]).exp() == Series(
+            [1] + [a * w for a, w in zip(u, egf)]
+        )
 
     def test_log_one_plus_t(self):
-        assert log_coefficients([1, 0, 0, 0]) == [
-            1, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 4),
-        ]
+        # log(1 + t) = Σ_n (−1)^{n−1}·(n−1)!·t^n/n!
+        assert cumulants([1, 0, 0, 0]) == [1, -1, 2, -6]
 
     def test_empty_input(self):
-        assert log_coefficients([]) == []
+        assert cumulants([]) == []
 
     def test_two_roots_over_m1_polynomials(self):
-        # M_2 = Z_2/(2 Z_0) - (Z_1/Z_0)^2, from u_j = (Z_j/Z_0)/(j!)^2
+        # M_2 = A_2 − A_1² = Z_2/(2 Z_0) − (Z_1/Z_0)², from A_j = (Z_j/Z_0)/j!
         q1, q2 = zj_over_z0_in_m1(1, 12), zj_over_z0_in_m1(2, 12)
-        logs = log_coefficients([q1, q2 * Fraction(1, 4)])
-        assert logs[-1] * 2 == q2 * Fraction(1, 2) + q1 * q1 * (-1)
+        logs = cumulants([q1, q2 * Fraction(1, 2)])
+        assert logs[-1] == q2 * Fraction(1, 2) + q1 * q1 * (-1)
 
 
 KNOWN_COUNTS = {
@@ -219,17 +223,18 @@ class TestMSeries:
     )
     def test_non_count_coefficient_is_a_consistency_error(self, monkeypatch, offset, shown):
         # M_1 = Z_1/Z_0 = 1 + 2λ² + …; the offset moves its λ² coefficient
-        real = nrooted.qft._scaled_quotient
+        real = nrooted.qft._moment
         monkeypatch.setattr(
             nrooted.qft,
-            "_scaled_quotient",
+            "_moment",
             lambda j, order: real(j, order) + Series.monomial(offset, 2, order),
         )
         with pytest.raises(
             ConsistencyError,
             match=rf"m_series\(1\): coefficient of λ\^2 is {shown}, expected a non-negative",
-        ):
+        ) as caught:
             m_series(1, 4)
+        assert caught.value.power == 2
 
 
 class TestAgainstIntegerRoutes:
@@ -446,24 +451,21 @@ class TestResumedLogarithm:
         assert m_series(n, order) == cold
         # the recurrence taken from scratch, without the cached lower parts
         z0 = z_series(0, order)
-        scaled = [
-            z_series(j, order) / z0 * Fraction(1, factorial(j) ** 2)
-            for j in range(1, n + 1)
-        ]
-        assert log_coefficients(scaled)[-1] * factorial(n) == cold
+        moments = [z_series(j, order) / z0 * Fraction(1, factorial(j)) for j in range(1, n + 1)]
+        assert cumulants(moments)[-1] == cold
 
     def test_resumes_from_known_logarithms(self):
         u = [Fraction(3), Fraction(-1, 2), Fraction(5, 7), Fraction(2)]
-        full = log_coefficients(u)
+        full = cumulants(u)
         for m in range(len(u) + 1):
-            assert log_coefficients(u, full[:m]) == full
-        # the known prefix is used, not recomputed: a wrong L_1 shows in L_2
-        wrong = log_coefficients(u, [full[0] + 1])
+            assert cumulants(u, full[:m]) == full
+        # the known prefix is used, not recomputed: a wrong K_1 shows in K_2
+        wrong = cumulants(u, [full[0] + 1])
         assert wrong[0] == full[0] + 1 and wrong[1] != full[1]
 
 
 def clear_qft_caches():
-    for name in ("z_series", "_z0_inverse", "_scaled_quotient", "m_series", "m0_series"):
+    for name in ("z_series", "_z0_inverse", "_moment", "m_series", "m0_series"):
         getattr(nrooted.qft, name).cache_clear()
 
 

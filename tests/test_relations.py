@@ -21,7 +21,7 @@ from nrooted.relations import (
     verify_ode_z0,
     zj_over_z0_in_m1,
 )
-from nrooted.series import Series, log_coefficients
+from nrooted.series import Series, cumulants
 from nrooted.tables import M1_IDENTITIES
 
 
@@ -231,6 +231,11 @@ class TestM1Polynomial:
         with pytest.raises(TypeError):
             scalar * p
 
+    def test_sum_with_a_scalar_is_a_type_error(self):
+        # sums are of polynomials only; a scalar enters through a product
+        with pytest.raises(TypeError):
+            M1Polynomial([[1]]) + 1
+
     @pytest.mark.parametrize(
         "args",
         [([[0.5]],), ([[True]],), ([[1]], 0.0), ([[1]], 0, 2.0), ([[1]], 0, True)],
@@ -397,11 +402,8 @@ class TestHigherMomentsInFirstMoment:
         for i in range(1, n):
             mn_in_m1(i, 32)
         assert mn_in_m1(n, 32) == cold
-        scaled = [
-            zj_over_z0_in_m1(j, 32) * Fraction(1, factorial(j) ** 2)
-            for j in range(1, n + 1)
-        ]
-        assert log_coefficients(scaled)[-1] * factorial(n) == cold
+        moments = [zj_over_z0_in_m1(j, 32) * Fraction(1, factorial(j)) for j in range(1, n + 1)]
+        assert cumulants(moments)[-1] == cold
 
     def test_checks_run_on_every_call(self, monkeypatch):
         checked = []
